@@ -6,10 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
-#include "sched/memo_store.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace pcap::fleet {
@@ -57,19 +55,7 @@ std::uint64_t FleetResult::schedule_digest() const {
 }
 
 DatacenterManager::DatacenterManager(const FleetConfig& config)
-    : config_(config), coupler_(config.coupler),
-      chunk_cache_(config.memo_capacity) {
-  // Warm start (DESIGN.md §17): pre-populate the fleet-wide memo cache
-  // from the persistent store. Corrupt / version-mismatched stores are
-  // rejected whole; keys embed cap + thermal identity bits, so entries
-  // from a different configuration are simply never consulted.
-  if (config_.memo && !config_.memo_store.empty()) {
-    const sched::MemoStoreLoadResult loaded =
-        sched::load_memo_store(config_.memo_store, chunk_cache_);
-    result_.store_entries_loaded = loaded.entries_loaded;
-    result_.store_load_rejected = loaded.rejected ? 1 : 0;
-    chunk_cache_.trim();
-  }
+    : config_(config), coupler_(config.coupler), runner_(config_) {
   for (std::size_t i = 0; i < config_.rack_nodes.size(); ++i) {
     auto slot = std::make_unique<RackSlot>();
     RackConfig rack;
@@ -283,171 +269,51 @@ void DatacenterManager::admit(double t) {
 }
 
 void DatacenterManager::start_chunks(double t) {
-  struct Starter {
-    std::size_t rack = 0;
-    std::size_t node = 0;
-    std::size_t lane = 0;
-    bool corun = false;
-    sched::ChunkKey key;
-    const sched::ChunkResult* hit = nullptr;
-    std::size_t cell = 0;
-    std::size_t member = 0;
-    std::uint64_t seed = 0;
-    int chunk_index = 0;
-    int job_id = -1;
-  };
-  struct CellWork {
-    sched::CoRunKey key;
-    const std::vector<sched::ChunkResult>* hit = nullptr;
-    std::vector<sched::ChunkResult> fresh;
-  };
-  std::vector<Starter> starters;
-  std::vector<CellWork> cells;
-  std::unordered_map<sched::CoRunKey, std::size_t, sched::CoRunKeyHash>
-      cell_index;
-  // One machine config serves the whole fleet today, but the shared cache
-  // outlives that assumption — stamp the thermal fingerprint regardless.
-  const std::uint64_t thermal_bits =
-      sched::thermal_identity_bits(config_.machine);
-
+  // One ChunkRunner round for the whole fleet, classified in (rack, node,
+  // lane) order over one shared cache.
   const auto member_of = [](const RackManager::Lane& lane) {
-    sched::CoRunMember member;
-    member.cls = lane.job.cls;
-    member.identity =
-        sched::chunk_identity(lane.job.cls, lane.job.seed, lane.chunks_done);
-    member.seed = lane.job.seed;
-    member.chunk_index = lane.chunks_done;
-    return member;
+    return sched::chunk_member(lane.job.cls, lane.job.seed, lane.chunks_done);
   };
-
-  // Serial classify in (rack, node, lane) order — the scheduler's proven
-  // bit-identity pattern, one cache for the whole fleet.
+  std::vector<sched::ChunkStart> starts;
+  std::vector<std::pair<std::size_t, RackManager::StartRef>> starting;
   std::vector<RackManager::StartRef> refs;
   for (std::size_t r = 0; r < racks_.size(); ++r) {
     RackManager& rack = *racks_[r]->manager;
     refs.clear();
     rack.pending_starts(refs);
     for (const RackManager::StartRef& ref : refs) {
-      const RackManager::Lane& lane = rack.lane(ref.node, ref.lane);
-      const std::optional<double> cap = rack.node_granted_w(ref.node);
-      Starter starter;
-      starter.rack = r;
-      starter.node = ref.node;
-      starter.lane = ref.lane;
-      starter.seed = lane.job.seed;
-      starter.chunk_index = lane.chunks_done;
-      starter.job_id = lane.job.job_id;
-      const sched::CoRunMember self = member_of(lane);
-      std::vector<sched::CoRunMember> members{self};
+      sched::ChunkStart start;
+      start.self = member_of(rack.lane(ref.node, ref.lane));
+      start.cap_w = rack.node_granted_w(ref.node);
       for (std::size_t o = 0; o < rack.lanes_per_node(); ++o) {
-        if (o == ref.lane) continue;
         const RackManager::Lane& other = rack.lane(ref.node, o);
-        if (!other.busy()) continue;
-        members.push_back(member_of(other));
+        if (o == ref.lane || !other.busy()) continue;
+        start.co_residents.push_back(member_of(other));
       }
-      if (members.size() == 1) {
-        starter.key.cls = self.cls;
-        starter.key.identity = self.identity;
-        starter.key.cap_bits = sched::ChunkKey::encode_cap(cap);
-        starter.key.thermal_bits = thermal_bits;
-        if (config_.memo) starter.hit = chunk_cache_.find(starter.key);
-        ++(starter.hit != nullptr ? result_.memo_hits : result_.memo_misses);
-      } else {
-        starter.corun = true;
-        std::sort(members.begin(), members.end(),
-                  [](const sched::CoRunMember& a, const sched::CoRunMember& b) {
-                    return key_less(a, b);
-                  });
-        sched::CoRunKey key;
-        key.cap_bits = sched::ChunkKey::encode_cap(cap);
-        key.thermal_bits = thermal_bits;
-        key.members = std::move(members);
-        for (std::size_t m = 0; m < key.members.size(); ++m) {
-          if (same_key(key.members[m], self)) {
-            starter.member = m;
-            break;
-          }
-        }
-        const auto found = cell_index.find(key);
-        if (found != cell_index.end()) {
-          starter.cell = found->second;
-        } else {
-          starter.cell = cells.size();
-          cell_index.emplace(key, cells.size());
-          CellWork work;
-          if (config_.memo) work.hit = chunk_cache_.find_cell(key);
-          work.key = std::move(key);
-          cells.push_back(std::move(work));
-        }
-        ++(cells[starter.cell].hit != nullptr ? result_.memo_hits
-                                              : result_.memo_misses);
-      }
-      starters.push_back(std::move(starter));
+      starts.push_back(std::move(start));
+      starting.emplace_back(r, ref);
     }
   }
 
-  // Misses fan out over the worker pool; the cache is not touched here.
-  std::vector<sched::ChunkResult> fresh(starters.size());
-  util::parallel_for(starters.size(), config_.jobs, [&](std::size_t k) {
-    const Starter& starter = starters[k];
-    if (starter.corun || starter.hit != nullptr) return;
-    fresh[k] = sched::simulate_chunk(config_.machine, config_.bmc, starter.key,
-                                     starter.seed, starter.chunk_index,
-                                     config_.seed);
-  });
-  util::parallel_for(cells.size(), config_.jobs, [&](std::size_t c) {
-    if (cells[c].hit != nullptr) return;
-    cells[c].fresh = sched::simulate_corun_cell(
-        config_.machine, config_.bmc, cells[c].key, config_.seed,
-        config_.corun_quantum);
-  });
-  result_.corun_cells += static_cast<std::uint64_t>(
-      std::count_if(cells.begin(), cells.end(),
-                    [](const CellWork& c) { return c.hit == nullptr; }));
-
-  // Serial commit in the classify order.
-  for (std::size_t k = 0; k < starters.size(); ++k) {
-    const Starter& starter = starters[k];
-    sched::ChunkResult result;
-    if (!starter.corun) {
-      result = starter.hit != nullptr ? *starter.hit : fresh[k];
-      if (config_.memo && starter.hit == nullptr) {
-        chunk_cache_.insert(starter.key, fresh[k]);
-      }
-    } else {
-      const CellWork& cell = cells[starter.cell];
-      const std::vector<sched::ChunkResult>& results =
-          cell.hit != nullptr ? *cell.hit : cell.fresh;
-      result = results[starter.member];
-    }
-    RackManager& rack = *racks_[starter.rack]->manager;
-    rack.begin_chunk(starter.node, starter.lane, result, t);
-    sched::JobRecord& record =
-        result_.jobs[static_cast<std::size_t>(starter.job_id)];
+  const std::vector<sched::ChunkOutcome> outcomes = runner_.run(starts);
+  for (std::size_t k = 0; k < outcomes.size(); ++k) {
+    const auto& [r, ref] = starting[k];
+    RackManager& rack = *racks_[r]->manager;
+    const int job_id = rack.lane(ref.node, ref.lane).job.job_id;
+    rack.begin_chunk(ref.node, ref.lane, outcomes[k].result, t);
+    sched::JobRecord& record = result_.jobs[static_cast<std::size_t>(job_id)];
     if (record.start_s < 0.0) {
       record.start_s = t;
       std::size_t flat = 0;
-      for (std::size_t r = 0; r < starter.rack; ++r) {
-        flat += racks_[r]->manager->node_count();
+      for (std::size_t i = 0; i < r; ++i) {
+        flat += racks_[i]->manager->node_count();
       }
-      record.node = static_cast<int>(flat + starter.node);
-      record.lane = static_cast<int>(starter.lane);
+      record.node = static_cast<int>(flat + ref.node);
+      record.lane = static_cast<int>(ref.lane);
     }
-    if (starter.corun) ++record.corun_chunks;
+    if (outcomes[k].corun) ++record.corun_chunks;
   }
-  if (config_.memo) {
-    for (CellWork& cell : cells) {
-      if (cell.hit == nullptr) {
-        chunk_cache_.insert_cell(cell.key, std::move(cell.fresh));
-      }
-    }
-    // LRU eviction ONLY at this serial commit point: the epilogue above
-    // held find()/find_cell() pointers across inserts, and recency is
-    // driven by the serial rack/node/lane classify order — invariant
-    // under `jobs` (DESIGN.md §17).
-    chunk_cache_.trim();
-  }
-  started_this_tick_ = !starters.empty();
+  started_this_tick_ = !starts.empty();
 }
 
 void DatacenterManager::record_tick(double t, const CouplerRound& round) {
@@ -684,13 +550,7 @@ FleetResult DatacenterManager::finish() {
   fleet.name = "fleet";
   result_.fleet_series = std::move(fleet);
 
-  result_.memo_evictions = chunk_cache_.evictions();
-  if (config_.memo && !config_.memo_store.empty()) {
-    if (sched::save_memo_store(config_.memo_store, chunk_cache_)) {
-      result_.store_entries_saved = static_cast<std::uint64_t>(
-          chunk_cache_.size() + chunk_cache_.cell_count());
-    }
-  }
+  runner_.finish(result_);
   return result_;
 }
 

@@ -13,10 +13,9 @@
 //                     admitted nodes at or above the amenability knee
 //                     rather than throttling everyone to the floor)
 //   4. placement    — racks place queued jobs onto free lanes
-//   5. chunk starts — fleet-wide classify (serial, rack/node/lane order),
-//                     memo misses fan out over `jobs`, serial commit: the
-//                     scheduler's proven bit-identity pattern, with ONE
-//                     shared ChunkCache across the whole fleet
+//   5. chunk starts — one sched::ChunkRunner round for the whole fleet,
+//                     classified in rack/node/lane order over ONE shared
+//                     memo cache; misses fan out over `jobs`
 //   6. telemetry    — per-node samplers record; Reducer fan-in at the end
 //
 // The invariant records written every tick at every level are what the
@@ -221,7 +220,7 @@ class DatacenterManager {
   FleetConfig config_;
   std::vector<std::unique_ptr<RackSlot>> racks_;
   BudgetCoupler coupler_;
-  sched::ChunkCache chunk_cache_;
+  sched::ChunkRunner runner_;
   /// Per-rack demand-series detectors (empty unless config_.predictor).
   std::vector<predict::PhasePredictor> rack_phase_;
 

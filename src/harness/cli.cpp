@@ -1,5 +1,7 @@
 #include "harness/cli.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -20,12 +22,28 @@ struct OptionSpec {
   std::function<void(CliOptions&, std::string_view)> apply;
 };
 
-int to_int(std::string_view text) {
-  return std::atoi(std::string(text).c_str());
+void print_usage(std::FILE* out);
+
+/// Rejects the command line: reason, usage on stderr, exit code 2.
+[[noreturn]] void usage_error(const std::string& reason) {
+  std::fprintf(stderr, "%s\n", reason.c_str());
+  print_usage(stderr);
+  std::exit(2);
 }
-double to_double(std::string_view text) {
-  return std::atof(std::string(text).c_str());
+
+/// Parses the whole of `text` as a T, or rejects the command line.
+template <typename T>
+T to_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    usage_error("not a number: \"" + std::string(text) + "\"");
+  }
+  return value;
 }
+int to_int(std::string_view text) { return to_number<int>(text); }
+double to_double(std::string_view text) { return to_number<double>(text); }
 
 const std::vector<OptionSpec>& option_table() {
   static const std::vector<OptionSpec> table = {
@@ -43,8 +61,7 @@ const std::vector<OptionSpec>& option_table() {
        [](CliOptions& o, std::string_view v) { o.csv_dir = std::string(v); }},
       {"--seed", "N", "base RNG seed",
        [](CliOptions& o, std::string_view v) {
-         o.seed = static_cast<std::uint64_t>(
-             std::atoll(std::string(v).c_str()));
+         o.seed = to_number<std::uint64_t>(v);
        }},
       {"--telemetry", "", "enable per-node time-series sampling",
        [](CliOptions& o, std::string_view) { o.telemetry = true; }},
@@ -145,16 +162,16 @@ const std::vector<OptionSpec>& option_table() {
   return table;
 }
 
-void print_usage() {
-  std::printf("flags:\n");
+void print_usage(std::FILE* out) {
+  std::fprintf(out, "flags:\n");
   for (const OptionSpec& spec : option_table()) {
     std::string left(spec.name);
     if (!spec.placeholder.empty()) {
       left += "=";
       left += spec.placeholder;
     }
-    std::printf("  %-22s %.*s\n", left.c_str(),
-                static_cast<int>(spec.help.size()), spec.help.data());
+    std::fprintf(out, "  %-22s %.*s\n", left.c_str(),
+                 static_cast<int>(spec.help.size()), spec.help.data());
   }
 }
 
@@ -165,24 +182,21 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (arg == "--help" || arg == "-h") {
-      print_usage();
+      print_usage(stdout);
       std::exit(0);
     }
-    for (const OptionSpec& spec : option_table()) {
-      if (spec.placeholder.empty()) {
-        if (arg == spec.name) {
-          spec.apply(options, {});
-          break;
-        }
-        continue;
-      }
-      if (arg.size() > spec.name.size() + 1 &&
-          arg.rfind(spec.name, 0) == 0 && arg[spec.name.size()] == '=') {
-        spec.apply(options, arg.substr(spec.name.size() + 1));
-        break;
-      }
+    // Bare flags take no "=VALUE"; every other flag needs one.
+    const std::size_t eq = arg.find('=');
+    const auto spec = std::find_if(
+        option_table().begin(), option_table().end(),
+        [&](const OptionSpec& s) { return s.name == arg.substr(0, eq); });
+    if (spec == option_table().end() ||
+        spec->placeholder.empty() != (eq == std::string_view::npos)) {
+      usage_error("bad argument: " + std::string(arg));
     }
-    // Unknown arguments are ignored (google-benchmark passes its own).
+    spec->apply(options, eq == std::string_view::npos
+                             ? std::string_view{}
+                             : arg.substr(eq + 1));
   }
   return options;
 }

@@ -87,8 +87,9 @@ struct CliOptions {
   }
 };
 
-/// Parses known flags; unknown arguments are ignored (google-benchmark
-/// passes its own). Exits with a usage message on --help.
+/// Parses the flags above. Exits 0 with usage on --help; exits 2 with usage
+/// on stderr for an unknown argument, a value given to a bare flag, a
+/// valued flag without "=VALUE", or a number that does not parse whole.
 CliOptions parse_cli(int argc, char** argv);
 
 }  // namespace pcap::harness

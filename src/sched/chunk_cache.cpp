@@ -1,9 +1,13 @@
 #include "sched/chunk_cache.hpp"
 
+#include <algorithm>
+
+#include "sched/memo_store.hpp"
 #include "sim/node.hpp"
 #include "sim/smp_node.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pcap::sched {
 
@@ -15,6 +19,11 @@ std::uint64_t chunk_identity(JobClass cls, std::uint64_t seed,
   if (cls != JobClass::kPhased) return 0;
   std::uint64_t sm = seed + 0x9E37u * static_cast<std::uint64_t>(chunk_index);
   return util::splitmix64(sm);
+}
+
+CoRunMember chunk_member(JobClass cls, std::uint64_t seed, int chunk_index) {
+  return CoRunMember{cls, chunk_identity(cls, seed, chunk_index), seed,
+                     chunk_index};
 }
 
 namespace {
@@ -157,6 +166,126 @@ std::vector<ChunkResult> simulate_corun_cell(
         elapsed_s > 0.0 ? core_report.energy_share_j / elapsed_s : 0.0;
   }
   return results;
+}
+
+void ChunkRunner::load_store() {
+  // Keys embed cap and thermal identity bits, so entries recorded under a
+  // different configuration are never consulted; a corrupt or
+  // version-mismatched store is rejected whole and the run is simply cold.
+  if (!memo_ || store_path_.empty()) return;
+  const MemoStoreLoadResult loaded = load_memo_store(store_path_, cache_);
+  store_loaded_ = loaded.entries_loaded;
+  store_rejected_ = loaded.rejected ? 1 : 0;
+  cache_.trim();  // the capacity bound applies to loaded entries too
+}
+
+void ChunkRunner::save_store() {
+  if (!memo_ || store_path_.empty()) return;
+  if (save_memo_store(store_path_, cache_)) {
+    store_saved_ = cache_.size() + cache_.cell_count();
+  }
+}
+
+std::vector<ChunkOutcome> ChunkRunner::run(
+    const std::vector<ChunkStart>& starts) {
+  struct Classified {
+    bool corun = false;
+    ChunkKey key;                      // solo
+    const ChunkResult* hit = nullptr;  // solo
+    ChunkResult fresh;                 // solo
+    std::size_t cell = 0;              // index into cells (co-run)
+    std::size_t member = 0;            // own position in the cell's members
+  };
+  struct Cell {
+    CoRunKey key;
+    const std::vector<ChunkResult>* hit = nullptr;
+    std::vector<ChunkResult> fresh;
+  };
+  std::vector<Classified> classified(starts.size());
+  std::vector<Cell> cells;
+  std::unordered_map<CoRunKey, std::size_t, CoRunKeyHash> cell_index;
+  std::vector<std::size_t> solo_misses;
+
+  // 1. Serial classify in start order (drives cache recency).
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    const ChunkStart& start = starts[k];
+    Classified& c = classified[k];
+    const std::uint64_t cap_bits = ChunkKey::encode_cap(start.cap_w);
+    if (start.co_residents.empty()) {
+      c.key = ChunkKey{start.self.cls, start.self.identity, cap_bits,
+                       thermal_bits_};
+      if (memo_) c.hit = cache_.find(c.key);
+      if (c.hit == nullptr) solo_misses.push_back(k);
+      ++(c.hit != nullptr ? hits_ : misses_);
+      continue;
+    }
+    c.corun = true;
+    CoRunKey key;
+    key.cap_bits = cap_bits;
+    key.thermal_bits = thermal_bits_;
+    key.members.reserve(1 + start.co_residents.size());
+    key.members.push_back(start.self);
+    key.members.insert(key.members.end(), start.co_residents.begin(),
+                       start.co_residents.end());
+    std::sort(key.members.begin(), key.members.end(),
+              [](const CoRunMember& a, const CoRunMember& b) {
+                return key_less(a, b);
+              });
+    // Own result = first occurrence of own (cls, identity) in the sorted
+    // member list (duplicates are interchangeable: the cell is a pure
+    // function of the key).
+    while (!same_key(key.members[c.member], start.self)) ++c.member;
+    const auto [found, inserted] = cell_index.try_emplace(key, cells.size());
+    c.cell = found->second;
+    if (inserted) {
+      Cell cell;
+      if (memo_) cell.hit = cache_.find_cell(key);
+      cell.key = std::move(key);
+      cells.push_back(std::move(cell));
+    }
+    ++(cells[c.cell].hit != nullptr ? hits_ : misses_);
+  }
+
+  // 2. Misses fan out; nothing here touches the cache.
+  util::parallel_for(solo_misses.size(), jobs_, [&](std::size_t m) {
+    const std::size_t k = solo_misses[m];
+    classified[k].fresh =
+        simulate_chunk(machine_, bmc_, classified[k].key, starts[k].self.seed,
+                       starts[k].self.chunk_index, seed_);
+  });
+  std::vector<std::size_t> cell_misses;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (cells[c].hit == nullptr) cell_misses.push_back(c);
+  }
+  util::parallel_for(cell_misses.size(), jobs_, [&](std::size_t m) {
+    Cell& cell = cells[cell_misses[m]];
+    cell.fresh =
+        simulate_corun_cell(machine_, bmc_, cell.key, seed_, quantum_);
+  });
+  corun_cells_ += cell_misses.size();
+
+  // 3. Serial commit. Hit pointers stay valid across inserts; eviction
+  // happens only in the trim() after the whole round.
+  std::vector<ChunkOutcome> outcomes(starts.size());
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    const Classified& c = classified[k];
+    if (!c.corun) {
+      outcomes[k].result = c.hit != nullptr ? *c.hit : c.fresh;
+      if (memo_ && c.hit == nullptr) cache_.insert(c.key, c.fresh);
+    } else {
+      const Cell& cell = cells[c.cell];
+      outcomes[k].result =
+          (cell.hit != nullptr ? *cell.hit : cell.fresh)[c.member];
+      outcomes[k].corun = true;
+    }
+  }
+  if (memo_) {
+    for (const std::size_t c : cell_misses) {
+      cache_.insert_cell(cells[c].key, std::move(cells[c].fresh));
+    }
+    cache_.trim();
+  }
+  return outcomes;
 }
 
 }  // namespace pcap::sched

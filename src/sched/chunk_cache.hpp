@@ -1,14 +1,15 @@
-// Chunk memoization for the cluster power scheduler (DESIGN.md §12, §13).
+// Chunk execution and memoization for the rack scheduler and the fleet
+// (DESIGN.md §12-§14).
 //
 // A solo chunk is simulated on a FRESH Node + BMC pair, so its result is a
 // pure function of (job class, workload identity, enforced cap) — the
-// machine and BMC configurations are fixed per scheduler instance and the
-// chunk duration is determined by the class, so they are factored out of
-// the key by scoping one cache to one ClusterScheduler. Arrival streams
-// with repeated (class, cap) cells then replay recorded results bit-exactly
-// instead of re-simulating: a hit returns the identical ChunkResult the
-// miss recorded, and the schedule it produces is bit-identical to the
-// cache-off run (tests/test_scheduler.cpp).
+// machine and BMC configurations are fixed per ChunkRunner and the chunk
+// duration is determined by the class, so they are factored out of the key
+// by scoping one cache to one runner. Arrival streams with repeated
+// (class, cap) cells then replay recorded results bit-exactly instead of
+// re-simulating: a hit returns the identical ChunkResult the miss recorded,
+// and the schedule it produces is bit-identical to the cache-off run
+// (tests/test_scheduler.cpp).
 //
 // Under co-residency (lanes_per_node > 1) the solo key is NOT sound: the
 // same (class, identity, cap) chunk runs slower next to an L3 thrasher
@@ -29,6 +30,7 @@
 #include <list>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -139,6 +141,9 @@ struct CoRunKeyHash {
 std::uint64_t chunk_identity(JobClass cls, std::uint64_t seed,
                              int chunk_index);
 
+/// The member a lane contributes when its job starts chunk `chunk_index`.
+CoRunMember chunk_member(JobClass cls, std::uint64_t seed, int chunk_index);
+
 /// Fingerprint of every thermal parameter that can change a chunk outcome:
 /// ambient, the single-RC legacy parameters, the RC network topology and
 /// per-node/per-edge R/C values, and the fan curve. Two machines with equal
@@ -172,14 +177,14 @@ std::vector<ChunkResult> simulate_corun_cell(
     const CoRunKey& key, std::uint64_t node_seed_material,
     util::Picoseconds quantum);
 
-/// Bounded per-scheduler memo store (solo chunks and co-run cells) with
-/// LRU eviction and hit/miss/eviction accounting. Not thread-safe: the
-/// scheduler classifies hits and inserts results serially in lane-major
-/// order (jobs-invariance), only the miss simulations fan out.
+/// Bounded memo store (solo chunks and co-run cells) with LRU eviction and
+/// hit/miss/eviction accounting. Not thread-safe: its one user, the
+/// ChunkRunner below, classifies hits and inserts results serially in
+/// start order (jobs-invariance); only the miss simulations fan out.
 ///
 /// Bit-identity under eviction: find()/find_cell() return pointers the
 /// serial commit epilogue holds across subsequent insert()s, so eviction
-/// NEVER happens inline — the scheduler calls trim() once after the whole
+/// NEVER happens inline — the runner calls trim() once after the whole
 /// commit round. Recency motion (list splice) and eviction order are both
 /// driven purely by the serial classify/commit sequence, which is the same
 /// for every `--jobs` value, so a capacity bound changes which chunks
@@ -276,6 +281,93 @@ class ChunkCache {
   std::unordered_map<ChunkKey, std::list<Entry>::iterator, ChunkKeyHash> map_;
   std::unordered_map<CoRunKey, std::list<Entry>::iterator, CoRunKeyHash>
       cells_;
+};
+
+/// One lane starting its job's next chunk: its own member, the node's
+/// other busy lanes in lane order (empty = solo), and the enforced cap.
+struct ChunkStart {
+  CoRunMember self;
+  std::vector<CoRunMember> co_residents;
+  std::optional<double> cap_w;
+};
+
+struct ChunkOutcome {
+  ChunkResult result;
+  bool corun = false;  // ran inside a co-run cell
+};
+
+/// The one place chunks execute, for the rack scheduler and the fleet
+/// alike (DESIGN.md §12). Each round of starts runs in three stages:
+///   1. serial classify in the caller's start order: solo or co-run key,
+///      memo hit or miss; identical cells within the round are
+///      deduplicated, so one simulation serves every start in the cell;
+///   2. the solo misses, then the cell misses, fan out over the `jobs`
+///      pool — the cache is never touched concurrently;
+///   3. serial commit: solo inserts in start order, then cell inserts in
+///      first-seen order, then one trim().
+/// Counts are per start (a co-run start is a hit or miss with its cell);
+/// two solo starts with one key in one round both miss and both simulate;
+/// a member whose identity appears twice in a cell takes its first
+/// occurrence's result. Recency follows classify order, so every outcome,
+/// count, LRU order and saved store is invariant under `jobs` and `memo`.
+///
+/// Owns the cache and the persistent store: loaded and trimmed at
+/// construction, saved by finish().
+class ChunkRunner {
+ public:
+  /// Built from any config carrying the shared chunk fields (machine,
+  /// bmc, seed, jobs, memo, memo_capacity, memo_store, corun_quantum):
+  /// SchedulerConfig and FleetConfig both do.
+  template <typename Config>
+  explicit ChunkRunner(const Config& config)
+      : machine_(config.machine),
+        bmc_(config.bmc),
+        seed_(config.seed),
+        jobs_(config.jobs),
+        memo_(config.memo),
+        store_path_(config.memo_store),
+        quantum_(config.corun_quantum),
+        thermal_bits_(thermal_identity_bits(config.machine)),
+        cache_(config.memo_capacity) {
+    load_store();
+  }
+
+  /// Runs one round; outcomes are parallel to `starts`.
+  std::vector<ChunkOutcome> run(const std::vector<ChunkStart>& starts);
+
+  /// Saves the store (when configured) and writes the memo and store
+  /// counters into `result` (ScheduleResult and FleetResult share them).
+  template <typename Result>
+  void finish(Result& result) {
+    save_store();
+    result.memo_hits = hits_;
+    result.memo_misses = misses_;
+    result.memo_evictions = cache_.evictions();
+    result.corun_cells = corun_cells_;
+    result.store_entries_loaded = store_loaded_;
+    result.store_load_rejected = store_rejected_;
+    result.store_entries_saved = store_saved_;
+  }
+
+ private:
+  void load_store();
+  void save_store();
+
+  sim::MachineConfig machine_;
+  core::BmcConfig bmc_;
+  std::uint64_t seed_;
+  std::size_t jobs_;
+  bool memo_;
+  std::string store_path_;
+  util::Picoseconds quantum_;
+  std::uint64_t thermal_bits_;  // stamped on every key
+  ChunkCache cache_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t corun_cells_ = 0;  // distinct cells simulated
+  std::uint64_t store_loaded_ = 0;
+  std::uint64_t store_rejected_ = 0;  // 1 = present but failed checks
+  std::uint64_t store_saved_ = 0;
 };
 
 }  // namespace pcap::sched

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
+
+#include <unistd.h>
 
 namespace pcap::sched {
 
@@ -143,16 +146,28 @@ bool save_memo_store(const std::string& path, const ChunkCache& cache,
 
   // Write-then-rename so a crash mid-save never leaves a torn store a
   // later run could half-trust (the loader would reject it anyway, but an
-  // atomic publish keeps the previous good store alive).
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  // atomic publish keeps the previous good store alive). The temp file is
+  // unique to this save and sits in the target's directory, so concurrent
+  // savers to one path never share it and each rename publishes one whole
+  // store.
+  std::string tmp = path + ".XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0) {
+    if (error != nullptr) *error = "cannot create a temp file for " + path;
+    return false;
+  }
+  std::FILE* f = ::fdopen(fd, "wb");
   if (f == nullptr) {
+    ::close(fd);
+    std::remove(tmp.c_str());
     if (error != nullptr) *error = "cannot open " + tmp + " for writing";
     return false;
   }
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), f);
+  const bool written =
+      std::fwrite(file.data(), 1, file.size(), f) == file.size() &&
+      std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   const bool closed = std::fclose(f) == 0;
-  if (written != file.size() || !closed) {
+  if (!written || !closed) {
     if (error != nullptr) *error = "short write to " + tmp;
     std::remove(tmp.c_str());
     return false;

@@ -35,8 +35,9 @@ struct MemoStoreLoadResult {
 };
 
 /// Serializes every recorded entry of `cache` to `path` (atomically: a
-/// temp file is written then renamed). Returns false (with `error` filled
-/// when non-null) on I/O failure.
+/// temp file unique to this call is written, synced, then renamed, so
+/// concurrent savers to one path leave exactly one of their stores, whole).
+/// Returns false (with `error` filled when non-null) on I/O failure.
 bool save_memo_store(const std::string& path, const ChunkCache& cache,
                      std::string* error = nullptr);
 

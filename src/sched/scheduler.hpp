@@ -187,7 +187,7 @@ class ClusterScheduler {
   double applied_cap_sum(double* reserved_w) const;
 
   SchedulerConfig config_;
-  ChunkCache chunk_cache_;
+  ChunkRunner runner_;
   std::unique_ptr<Policy> policy_;
   OnlinePowerModel model_;
   core::DataCenterManager dcm_;

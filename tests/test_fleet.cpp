@@ -9,16 +9,19 @@
 // episode and checks the conservation counters stayed at zero; the
 // randomized-topology test re-checks the same discipline on arbitrary
 // 2–4-level trees built from the same endpoint pieces. Bit-identity of
-// whole fleet schedules across --jobs values and memo on/off rides on the
-// schedule digest.
+// whole fleet schedules across --jobs values, memo on/off, lanes per node,
+// a memo capacity bound and a warm memo store rides on the schedule
+// digest.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -435,21 +438,74 @@ TEST(Fleet, SmallRunCompletesAndConserves) {
 }
 
 TEST(Fleet, ScheduleBitIdenticalAcrossJobsAndMemo) {
-  std::optional<std::uint64_t> want;
-  for (const std::size_t jobs : {1u, 3u, 7u}) {
-    for (const bool memo : {true, false}) {
-      if (!memo && jobs == 3) continue;  // redundant cell
-      fleet::FleetConfig config = small_fleet_config();
-      config.jobs = jobs;
-      config.memo = memo;
-      fleet::DatacenterManager dc(config);
-      const std::uint64_t digest = dc.run().schedule_digest();
-      if (!want.has_value()) {
-        want = digest;
-      } else {
-        EXPECT_EQ(digest, *want) << "jobs=" << jobs << " memo=" << memo;
+  for (const std::size_t lanes : {1u, 2u}) {
+    std::optional<std::uint64_t> want;
+    for (const std::size_t jobs : {1u, 3u, 7u}) {
+      for (const bool memo : {true, false}) {
+        if (!memo && jobs == 3) continue;  // redundant cell
+        fleet::FleetConfig config = small_fleet_config();
+        config.lanes_per_node = lanes;
+        config.jobs = jobs;
+        config.memo = memo;
+        fleet::DatacenterManager dc(config);
+        const fleet::FleetResult result = dc.run();
+        // Two lanes per node must actually exercise the co-run path.
+        EXPECT_EQ(result.corun_cells > 0, lanes > 1) << "lanes=" << lanes;
+        const std::uint64_t digest = result.schedule_digest();
+        if (!want.has_value()) {
+          want = digest;
+        } else {
+          EXPECT_EQ(digest, *want)
+              << "lanes=" << lanes << " jobs=" << jobs << " memo=" << memo;
+        }
       }
     }
+  }
+}
+
+std::string fleet_store_path(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+TEST(Fleet, WarmStoreReplaysBitExactlyWithZeroMisses) {
+  for (const std::size_t lanes : {1u, 2u}) {
+    const std::string path =
+        fleet_store_path("fleet_warm_" + std::to_string(lanes) + ".pcms");
+    std::remove(path.c_str());
+    fleet::FleetConfig config = small_fleet_config();
+    config.lanes_per_node = lanes;
+    config.memo_store = path;
+
+    const fleet::FleetResult cold = fleet::DatacenterManager(config).run();
+    EXPECT_GT(cold.memo_misses, 0u);
+    EXPECT_EQ(cold.store_entries_loaded, 0u);
+    EXPECT_GT(cold.store_entries_saved, 0u);
+
+    const fleet::FleetResult warm = fleet::DatacenterManager(config).run();
+    EXPECT_EQ(warm.store_load_rejected, 0u);
+    EXPECT_EQ(warm.store_entries_loaded, cold.store_entries_saved);
+    EXPECT_EQ(warm.memo_misses, 0u) << "lanes=" << lanes;
+    EXPECT_EQ(warm.memo_hits, warm.chunks) << "lanes=" << lanes;
+    EXPECT_EQ(warm.corun_cells, 0u);
+    EXPECT_EQ(warm.schedule_digest(), cold.schedule_digest())
+        << "lanes=" << lanes;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(Fleet, MemoCapacityKeepsTheScheduleBitIdentical) {
+  for (const std::size_t lanes : {1u, 2u}) {
+    fleet::FleetConfig unbounded = small_fleet_config();
+    unbounded.lanes_per_node = lanes;
+    const fleet::FleetResult full = fleet::DatacenterManager(unbounded).run();
+
+    fleet::FleetConfig bounded = unbounded;
+    bounded.memo_capacity = 2;
+    const fleet::FleetResult capped = fleet::DatacenterManager(bounded).run();
+    EXPECT_GT(capped.memo_evictions, 0u);
+    EXPECT_GT(capped.memo_misses, full.memo_misses);
+    EXPECT_EQ(capped.schedule_digest(), full.schedule_digest())
+        << "lanes=" << lanes;
   }
 }
 

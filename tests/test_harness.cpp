@@ -174,10 +174,9 @@ TEST(ReportStride, RenderAndCsv) {
 }
 
 TEST(Cli, ParsesKnownFlags) {
-  const char* argv[] = {"bench",        "--full",     "--reps=7",
-                        "--jobs=3",     "--seed=42",  "--csv-dir=/tmp/x",
-                        "--bench-junk"};
-  const CliOptions options = parse_cli(7, const_cast<char**>(argv));
+  const char* argv[] = {"bench",    "--full",    "--reps=7",
+                        "--jobs=3", "--seed=42", "--csv-dir=/tmp/x"};
+  const CliOptions options = parse_cli(6, const_cast<char**>(argv));
   EXPECT_TRUE(options.full);
   EXPECT_EQ(options.reps, 7);
   EXPECT_EQ(options.jobs, 3u);
@@ -217,6 +216,40 @@ TEST(Cli, ParsesPredictorFlags) {
   // Non-positive window falls back to the predictor default.
   const char* bad[] = {"bench", "--phase-window=-3"};
   EXPECT_EQ(parse_cli(2, const_cast<char**>(bad)).phase_window, 0u);
+}
+
+
+// Anything parse_cli cannot take at face value stops the run: usage on
+// stderr, exit code 2 — a typo must never silently run another experiment.
+void expect_usage_error(const char* arg) {
+  const char* argv[] = {"bench", arg};
+  EXPECT_EXIT(parse_cli(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "flags:")
+      << arg;
+}
+
+TEST(Cli, UnknownArgumentIsAUsageError) {
+  expect_usage_error("--job=4");
+  expect_usage_error("--bench-junk");
+  expect_usage_error("stray");
+}
+
+TEST(Cli, BareFlagWithAValueIsAUsageError) {
+  expect_usage_error("--full=1");
+  expect_usage_error("--predictor=yes");
+}
+
+TEST(Cli, ValuedFlagWithoutValueIsAUsageError) {
+  expect_usage_error("--jobs");
+  expect_usage_error("--csv-dir");
+}
+
+TEST(Cli, NumberThatDoesNotParseWholeIsAUsageError) {
+  expect_usage_error("--jobs=four");
+  expect_usage_error("--reps=3x");
+  expect_usage_error("--seed=");
+  expect_usage_error("--budget=1.5W");
+  expect_usage_error("--subsystem-caps=150,abc,0");
 }
 
 }  // namespace

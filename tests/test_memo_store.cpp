@@ -11,15 +11,20 @@
 //  * LRU capacity bounding composes with the store: eviction changes what
 //    re-simulates, never what any simulation returns;
 //  * the schedule digest is invariant across the whole grid of
-//    jobs x memo on/off x store on/off.
+//    jobs x memo on/off x store on/off;
+//  * concurrent savers to one path never tear the store: every save
+//    succeeds, the survivor is one saver's whole store, and no temp file
+//    is left behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sched/amenability_table.hpp"
@@ -345,6 +350,60 @@ TEST(MemoStoreTest, DigestInvariantAcrossJobsMemoAndStoreGrid) {
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(MemoStoreTest, ConcurrentSaversNeverTearTheStore) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "concurrent_store";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "shared.pcms").string();
+
+  // Saver i owns a cache of 64 * (i + 1) entries, so the entry count of
+  // whatever survives names the saver that wrote it.
+  constexpr int kSavers = 4;
+  constexpr int kRounds = 40;
+  std::vector<ChunkCache> caches(kSavers);
+  for (int i = 0; i < kSavers; ++i) {
+    for (int e = 0; e < 64 * (i + 1); ++e) {
+      caches[static_cast<std::size_t>(i)].insert(
+          make_key(JobClass::kSireLike, 100.0 + e, static_cast<std::uint64_t>(i)),
+          make_result(e));
+    }
+  }
+  std::vector<int> failures(kSavers, 0);
+  std::vector<std::thread> savers;
+  for (int i = 0; i < kSavers; ++i) {
+    savers.emplace_back([&, i] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (!save_memo_store(path, caches[static_cast<std::size_t>(i)])) {
+          ++failures[static_cast<std::size_t>(i)];
+        }
+      }
+    });
+  }
+  for (std::thread& saver : savers) saver.join();
+  for (int i = 0; i < kSavers; ++i) {
+    EXPECT_EQ(failures[static_cast<std::size_t>(i)], 0) << "saver " << i;
+  }
+
+  ChunkCache loaded;
+  const MemoStoreLoadResult load = load_memo_store(path, loaded);
+  EXPECT_FALSE(load.rejected) << load.error;
+  bool matches_a_saver = false;
+  for (const ChunkCache& cache : caches) {
+    matches_a_saver |= load.entries_loaded == cache.size();
+  }
+  EXPECT_TRUE(matches_a_saver) << "entries_loaded=" << load.entries_loaded;
+
+  std::vector<std::string> leftovers;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename() != "shared.pcms") {
+      leftovers.push_back(entry.path().filename().string());
+    }
+  }
+  EXPECT_TRUE(leftovers.empty()) << "temp file left: " << leftovers.front();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
