@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/dcm.hpp"
 #include "fleet/budget.hpp"
 
 namespace pcap::fleet {
@@ -46,12 +47,9 @@ class ChildLink {
   virtual double ceiling_w() const = 0;
 };
 
-/// Same shape as the DCM node-health FSM: consecutive failed exchanges
-/// degrade then lose a child; the first success after kLost lands on
-/// kRecovered before returning to kHealthy.
-enum class LinkHealth { kHealthy, kDegraded, kLost, kRecovered };
-
 struct CouplerConfig {
+  /// Consecutive failed exchanges before a child is marked degraded / lost
+  /// (core::step_health, the DCM's own health transition).
   std::uint32_t degraded_after_failures = 2;
   std::uint32_t lost_after_failures = 4;
   double push_epsilon_w = 0.05;  // skip pushes smaller than this
@@ -97,7 +95,7 @@ class BudgetCoupler {
   double reserved_w() const;
   std::size_t size() const { return children_.size(); }
   std::size_t lost_children() const;
-  LinkHealth health(std::size_t i) const { return children_[i].health; }
+  core::NodeHealth health(std::size_t i) const { return children_[i].health; }
   double granted_w(std::size_t i) const { return children_[i].granted_w; }
   double demand_w(std::size_t i) const { return children_[i].demand_w; }
   const CouplerRound& last_round() const { return last_round_; }
@@ -115,7 +113,7 @@ class BudgetCoupler {
     ChildLink* link = nullptr;
     double granted_w = 0.0;  // last acked grant; what the child enforces
     double demand_w = 0.0;   // last successful poll
-    LinkHealth health = LinkHealth::kHealthy;
+    core::NodeHealth health = core::NodeHealth::kHealthy;
     std::uint32_t consecutive_failures = 0;
   };
 

@@ -85,9 +85,9 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
     ipmi::Transport& link =
         slot->faulty ? static_cast<ipmi::Transport&>(*slot->faulty)
                      : static_cast<ipmi::Transport&>(*slot->loopback);
-    slot->client = std::make_unique<BudgetClient>(
-        link, config_.comms.backoff, config_.comms.request_timeout_ms,
-        config_.seed * 313 + static_cast<std::uint64_t>(i) * 17 + 13);
+    core::NodeCommsConfig comms = config_.comms;
+    comms.seed = config_.seed * 313 + static_cast<std::uint64_t>(i) * 17 + 13;
+    slot->client = std::make_unique<BudgetClient>(link, comms);
     // Discovery: keep probing until the (possibly lossy) link answers.
     bool attached = false;
     for (int attempt = 0; attempt < 50 && !attached; ++attempt) {
@@ -195,7 +195,7 @@ void DatacenterManager::admit(double t) {
       const ipmi::RackStatus& status = racks_[i]->client->last_status();
       busy += status.busy_nodes;
       total_nodes += status.nodes;
-      if (coupler_.health(i) != LinkHealth::kLost) {
+      if (coupler_.health(i) != core::NodeHealth::kLost) {
         free_lanes[i] = status.free_lanes;
       }
     }
