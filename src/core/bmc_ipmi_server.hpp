@@ -16,7 +16,11 @@ class BmcIpmiServer {
   explicit BmcIpmiServer(Bmc& bmc) : bmc_(&bmc) {}
 
   /// Frame-level entry point, bindable to ipmi::LoopbackTransport.
-  std::vector<std::uint8_t> handle_frame(std::span<const std::uint8_t> frame);
+  std::vector<std::uint8_t> handle_frame(std::span<const std::uint8_t> frame) {
+    return ipmi::serve_frame(frame, [this](const ipmi::Request& r) {
+      return handle(r);
+    });
+  }
 
   /// Request-level dispatch (used directly by tests).
   ipmi::Response handle(const ipmi::Request& request);

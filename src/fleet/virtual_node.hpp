@@ -99,7 +99,11 @@ class VirtualNodeIpmiServer {
   explicit VirtualNodeIpmiServer(VirtualNode& node) : node_(&node) {}
 
   ipmi::Response handle(const ipmi::Request& request);
-  std::vector<std::uint8_t> handle_frame(std::span<const std::uint8_t> frame);
+  std::vector<std::uint8_t> handle_frame(std::span<const std::uint8_t> frame) {
+    return ipmi::serve_frame(frame, [this](const ipmi::Request& r) {
+      return handle(r);
+    });
+  }
 
  private:
   VirtualNode* node_;

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "ipmi/message.hpp"
 
@@ -156,6 +158,23 @@ Request make_get_throttle_status();
 // --- payload codecs (both sides) ---
 Response make_ok_response();
 Response make_error_response(CompletionCode code);
+
+/// The server side of one exchange, shared by every endpoint: decodes the
+/// frame (an undecodable one is answered kRequestDataInvalid), dispatches
+/// it to `handler`, echoes the rqSeq so the client can reject stale frames,
+/// and encodes the reply.
+template <typename Handler>
+std::vector<std::uint8_t> serve_frame(std::span<const std::uint8_t> frame,
+                                      Handler&& handler) {
+  Request request;
+  if (!decode_request(frame, request)) {
+    return encode_response(
+        make_error_response(CompletionCode::kRequestDataInvalid));
+  }
+  Response response = handler(request);
+  response.seq = request.seq;
+  return encode_response(response);
+}
 
 Response encode_device_id(const DeviceId& v);
 std::optional<DeviceId> decode_device_id(const Response& r);

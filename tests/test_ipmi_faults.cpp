@@ -1,18 +1,28 @@
 // Fault-tolerance tests for the management plane: deterministic fault
 // injection (drop / duplicate / corrupt / latency / partition), sequence-
-// number rejection of stale frames, retry backoff schedule bounds, and the
-// DCM's node health state machine with group-budget redistribution.
+// number rejection of stale frames, retry backoff schedule bounds, the one
+// health transition (core::step_health) that the DCM and the fleet-tree
+// coupler share, the DCM's group-budget redistribution, and the frame
+// servers' handling of mangled requests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
 #include "core/bmc_ipmi_server.hpp"
 #include "core/dcm.hpp"
+#include "fleet/coupler.hpp"
+#include "fleet/endpoint.hpp"
+#include "fleet/virtual_node.hpp"
 #include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
+#include "scripted_link.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
 #include "util/backoff.hpp"
@@ -338,6 +348,94 @@ TEST_F(HealthTest, GroupCapSkipsLostNodes) {
   EXPECT_LE(committed_budget_w(), kBudgetW + 1e-6);
 }
 
+// --- The shared health transition ---
+
+TEST(HealthStep, TransitionTable) {
+  using H = NodeHealth;
+  struct Row {
+    H from;
+    std::uint32_t failures;
+    bool ok;
+    std::uint32_t degraded_after;
+    std::uint32_t lost_after;
+    H to;
+    std::uint32_t failures_after;
+    bool changed;
+  };
+  const std::vector<Row> rows = {
+      // Every state x ok/fail at the default thresholds (2, 4).
+      {H::kHealthy, 0, true, 2, 4, H::kHealthy, 0, false},
+      {H::kHealthy, 0, false, 2, 4, H::kHealthy, 1, false},
+      {H::kHealthy, 1, false, 2, 4, H::kDegraded, 2, true},
+      {H::kHealthy, 3, false, 2, 4, H::kLost, 4, true},
+      {H::kDegraded, 2, true, 2, 4, H::kHealthy, 0, true},
+      {H::kDegraded, 2, false, 2, 4, H::kDegraded, 3, false},
+      {H::kDegraded, 3, false, 2, 4, H::kLost, 4, true},
+      {H::kLost, 4, true, 2, 4, H::kRecovered, 0, true},
+      {H::kLost, 4, false, 2, 4, H::kLost, 5, false},
+      {H::kRecovered, 0, true, 2, 4, H::kHealthy, 0, true},
+      {H::kRecovered, 0, false, 2, 4, H::kRecovered, 1, false},
+      {H::kRecovered, 1, false, 2, 4, H::kDegraded, 2, true},
+      {H::kRecovered, 3, false, 2, 4, H::kLost, 4, true},
+      // degraded == lost: the failure that crosses goes straight to kLost.
+      {H::kHealthy, 1, false, 3, 3, H::kHealthy, 2, false},
+      {H::kHealthy, 2, false, 3, 3, H::kLost, 3, true},
+      {H::kRecovered, 2, false, 3, 3, H::kLost, 3, true},
+      {H::kLost, 3, true, 3, 3, H::kRecovered, 0, true},
+      // lost == 1: the first failure loses the endpoint from any state.
+      {H::kHealthy, 0, false, 2, 1, H::kLost, 1, true},
+      {H::kDegraded, 0, false, 1, 1, H::kLost, 1, true},
+      {H::kRecovered, 0, false, 2, 1, H::kLost, 1, true},
+      {H::kLost, 1, false, 2, 1, H::kLost, 2, false},
+      {H::kLost, 1, true, 2, 1, H::kRecovered, 0, true},
+  };
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    NodeHealth health = row.from;
+    std::uint32_t failures = row.failures;
+    const bool changed = core::step_health(health, failures, row.ok,
+                                           row.degraded_after, row.lost_after);
+    EXPECT_EQ(health, row.to) << "row " << i;
+    EXPECT_EQ(failures, row.failures_after) << "row " << i;
+    EXPECT_EQ(changed, row.changed) << "row " << i;
+  }
+}
+
+TEST_F(HealthTest, DcmAndCouplerWalkTheSameStates) {
+  // One child at a target equal to its grant: every coupler round is then
+  // exactly one exchange (its poll) and pushes nothing, as every DCM poll
+  // is exactly one power-reading exchange with node-0.
+  std::vector<std::pair<int, double>> log;
+  test::ScriptedLink link(0, &log);
+  link.actual_w = 200.0;
+  fleet::BudgetCoupler coupler;
+  coupler.add_child(&link, 200.0);
+
+  const std::string script = "FFFFFOFFOFOFFFFOOFFFFOFFOO";
+  std::vector<NodeHealth> dcm_states, coupler_states;
+  for (const char step : script) {
+    const bool fail = step == 'F';
+    if (fail) {
+      slots_[0]->faulty->partition_for(1'000'000);
+    } else {
+      slots_[0]->faulty->heal();
+    }
+    link.fail_polls = fail;
+    dcm_.poll();
+    coupler.run_round(200.0);
+    dcm_states.push_back(*dcm_.node_health("node-0"));
+    coupler_states.push_back(coupler.health(0));
+  }
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(dcm_states, coupler_states);
+  for (const NodeHealth state : {NodeHealth::kHealthy, NodeHealth::kDegraded,
+                                 NodeHealth::kLost, NodeHealth::kRecovered}) {
+    EXPECT_NE(std::find(dcm_states.begin(), dcm_states.end(), state),
+              dcm_states.end())
+        << node_health_name(state);
+  }
+}
+
 // --- Seeded message-layer fuzz: round-trips for every command, bit
 // flips, truncations and random garbage. Parsing must never crash, and a
 // frame with any single corrupted byte must never decode. ---
@@ -526,6 +624,101 @@ TEST(IpmiFuzz, EveryTruncationRejected) {
           << "prefix " << len;
     }
   }
+}
+
+/// A budget holder that only remembers the target it adopted.
+class TargetHolder : public fleet::BudgetHolder {
+ public:
+  double set_budget_target(double watts) override {
+    target_w = watts;
+    return watts;
+  }
+  ipmi::RackStatus status() override {
+    ipmi::RackStatus s;
+    s.enforced_w = target_w;
+    s.committed_w = target_w;
+    s.floor_w = 11000.0;
+    s.ceiling_w = 40000.0;
+    s.nodes = 100;
+    return s;
+  }
+  double target_w = 20000.0;
+};
+
+TEST(IpmiFuzz, ServersRejectMangledRequestsWithoutActing) {
+  // Every truncation and every single-byte change of a valid request, sent
+  // to each of the three frame servers: the reply is kRequestDataInvalid
+  // and the server acts on nothing.
+  Slot slot(3);
+  slot.bmc->set_cap(180.0);
+  fleet::VirtualNode vnode(110.0, 400.0, 150.0);
+  ASSERT_TRUE(vnode.set_cap(200.0));
+  fleet::VirtualNodeIpmiServer vnode_server(vnode);
+  TargetHolder holder;
+  fleet::BudgetEndpointServer rack_server(holder);
+  using Serve =
+      std::function<std::vector<std::uint8_t>(std::span<const std::uint8_t>)>;
+  const std::vector<std::pair<const char*, Serve>> servers = {
+      {"bmc", [&](auto f) { return slot.server->handle_frame(f); }},
+      {"vnode", [&](auto f) { return vnode_server.handle_frame(f); }},
+      {"rack", [&](auto f) { return rack_server.handle_frame(f); }},
+  };
+  auto state = [&] {
+    return std::make_tuple(slot.bmc->cap(), vnode.cap_w(), holder.target_w);
+  };
+  const auto before = state();
+
+  std::size_t frames = 0;
+  std::size_t bad = 0;
+  auto expect_rejected = [&](std::span<const std::uint8_t> frame,
+                             const std::string& what) {
+    for (const auto& [name, serve] : servers) {
+      ++frames;
+      ipmi::Response reply;
+      if (!ipmi::decode_response(serve(frame), reply) ||
+          reply.code != ipmi::CompletionCode::kRequestDataInvalid) {
+        if (++bad <= 5) ADD_FAILURE() << name << ": " << what;
+      }
+    }
+  };
+  for (const ipmi::Request& request : fuzz_requests()) {
+    const std::vector<std::uint8_t> frame = ipmi::encode_request(request);
+    const std::string cmd = ipmi::command_name(request.command);
+    for (std::size_t len = 0; len < frame.size(); ++len) {
+      expect_rejected(std::span<const std::uint8_t>(frame.data(), len),
+                      cmd + " prefix " + std::to_string(len));
+    }
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      for (unsigned delta = 1; delta < 256; ++delta) {
+        std::vector<std::uint8_t> mutated = frame;
+        mutated[i] = static_cast<std::uint8_t>(mutated[i] ^ delta);
+        expect_rejected(mutated, cmd + " byte " + std::to_string(i) +
+                                     " ^ " + std::to_string(delta));
+      }
+    }
+  }
+  EXPECT_GT(frames, 0u);
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(state(), before);
+
+  // The intact frames do act, so the check above is not vacuous.
+  ipmi::PowerLimit limit;
+  limit.enabled = true;
+  limit.limit_w = 215.5;
+  const auto set_cap = ipmi::encode_request(ipmi::make_set_power_limit(limit));
+  const auto set_budget =
+      ipmi::encode_request(ipmi::make_set_rack_budget(35700.3));
+  ipmi::Response reply;
+  ASSERT_TRUE(ipmi::decode_response(slot.server->handle_frame(set_cap), reply));
+  EXPECT_TRUE(reply.ok());
+  ASSERT_TRUE(ipmi::decode_response(vnode_server.handle_frame(set_cap), reply));
+  EXPECT_TRUE(reply.ok());
+  ASSERT_TRUE(
+      ipmi::decode_response(rack_server.handle_frame(set_budget), reply));
+  EXPECT_TRUE(reply.ok());
+  EXPECT_NE(std::get<0>(state()), std::get<0>(before));
+  EXPECT_NE(std::get<1>(state()), std::get<1>(before));
+  EXPECT_NE(std::get<2>(state()), std::get<2>(before));
 }
 
 TEST(IpmiFuzz, SeededGarbageAndMultiFlipsNeverCrash) {
