@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
 #include "core/bmc_ipmi_server.hpp"
 #include "core/dcm.hpp"
+#include "fleet/virtual_node.hpp"
+#include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
@@ -210,6 +213,98 @@ TEST_F(DcmTest, CapScheduleValidation) {
   EXPECT_TRUE(dcm_.set_cap_schedule("node-0", {Sched{1, 130.0}}));
   dcm_.poll();
   EXPECT_DOUBLE_EQ(*slots_[0]->bmc->cap(), 130.0);
+}
+
+/// Serves one VirtualNode, dropping its SetPowerLimit frames while
+/// `drop_set_limit` is set and every frame while `drop_all` is set.
+class ScriptedTransport : public ipmi::Transport {
+ public:
+  explicit ScriptedTransport(fleet::VirtualNode& node) : server_(node) {}
+
+  std::vector<std::uint8_t> transact(
+      std::span<const std::uint8_t> frame) override {
+    // Frame layout [netfn, cmd, seq, len_lo, len_hi, payload..., checksum].
+    const bool set_limit =
+        frame.size() > 1 &&
+        frame[1] == static_cast<std::uint8_t>(ipmi::Command::kSetPowerLimit);
+    if (drop_all || (drop_set_limit && set_limit)) return {};
+    return server_.handle_frame(frame);
+  }
+
+  bool drop_set_limit = false;
+  bool drop_all = false;
+
+ private:
+  fleet::VirtualNodeIpmiServer server_;
+};
+
+TEST(DcmPushOrder, FailedDecreaseWithholdsIncreases) {
+  // Three nodes under a 600 W group budget. Node 0's and node 1's demands
+  // swap, so node 0's cap must rise and node 1's fall, while node 1's
+  // SetPowerLimit frames are dropped. Pushing node 0's increase before
+  // node 1's decrease would leave the BMCs enforcing 700 W.
+  constexpr double kBudgetW = 600.0;
+  std::vector<std::unique_ptr<fleet::VirtualNode>> nodes;
+  std::vector<std::unique_ptr<ScriptedTransport>> links;
+  DataCenterManager dcm;
+  for (const double draw_w : {100.0, 300.0, 200.0}) {
+    nodes.push_back(std::make_unique<fleet::VirtualNode>(100.0, 300.0, draw_w));
+    links.push_back(std::make_unique<ScriptedTransport>(*nodes.back()));
+    ASSERT_TRUE(dcm.add_node("node-" + std::to_string(links.size() - 1),
+                             *links.back()));
+  }
+  auto enforced_w = [&] {
+    double sum = 0.0;
+    for (const auto& n : nodes) sum += n->cap_w().value_or(300.0);
+    return sum;
+  };
+  auto alert_mentions = [&](const std::string& needle) {
+    for (const auto& a : dcm.alerts()) {
+      if (a.message.find(needle) != std::string::npos) return true;
+    }
+    return false;
+  };
+  // Floors 300 W plus the 300 W surplus split 100:300:200.
+  ASSERT_EQ(dcm.apply_group_cap(kBudgetW).size(), 3u);
+  EXPECT_EQ(nodes[0]->cap_w(), 150.0);
+  EXPECT_EQ(nodes[1]->cap_w(), 250.0);
+  EXPECT_EQ(nodes[2]->cap_w(), 200.0);
+
+  nodes[0]->set_draw_w(300.0);
+  nodes[1]->set_draw_w(100.0);
+  links[1]->drop_set_limit = true;
+
+  // Group apply: node 1's decrease fails, so node 0's increase is withheld.
+  EXPECT_TRUE(dcm.apply_group_cap(kBudgetW).empty());
+  EXPECT_EQ(nodes[0]->cap_w(), 150.0);
+  EXPECT_EQ(nodes[1]->cap_w(), 250.0);
+  EXPECT_LE(enforced_w(), kBudgetW + 1e-9);
+
+  // Rebalance: node 2 goes lost, its 200 W cap is reserved, and the 400 W
+  // left is re-split 300:100 from the polled history, which again asks
+  // node 1 to decrease and node 0 to increase.
+  links[2]->drop_all = true;
+  for (int i = 0; i < 4; ++i) dcm.poll();
+  ASSERT_EQ(dcm.node_health("node-2"), NodeHealth::kLost);
+  EXPECT_EQ(nodes[0]->cap_w(), 150.0);
+  EXPECT_EQ(nodes[1]->cap_w(), 250.0);
+  EXPECT_LE(enforced_w(), kBudgetW + 1e-9);
+  EXPECT_TRUE(alert_mentions("rebalance: failed to apply 150.0 W cap"));
+  EXPECT_TRUE(alert_mentions("withholding 1 cap increase"));
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ(dcm.node_applied_cap("node-" + std::to_string(i)),
+              nodes[i]->cap_w());
+  }
+
+  // Once node 1's frames get through, the next apply lands both moves.
+  links[1]->drop_set_limit = false;
+  links[2]->drop_all = false;
+  dcm.poll();
+  const auto applied = dcm.apply_group_cap(kBudgetW);
+  ASSERT_EQ(applied.size(), 3u);
+  EXPECT_EQ(nodes[0]->cap_w(), 250.0);
+  EXPECT_EQ(nodes[1]->cap_w(), 150.0);
+  EXPECT_LE(enforced_w(), kBudgetW + 1e-9);
 }
 
 TEST(DcmFaulty, SurvivesLossyManagementNetwork) {
