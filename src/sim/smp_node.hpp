@@ -33,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -48,22 +47,17 @@
 
 #include "cache/cache.hpp"
 #include "mem/dram.hpp"
-#include "meter/watts_up.hpp"
 #include "pmu/counters.hpp"
 #include "power/model.hpp"
-#include "power/pstate.hpp"
-#include "power/thermal.hpp"
 #include "sim/core_model.hpp"
 #include "sim/execution_context.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/machine_config.hpp"
+#include "sim/package.hpp"
 #include "sim/platform_control.hpp"
 #include "sim/workload.hpp"
 #include "telemetry/probe.hpp"
-#include "thermal/fan.hpp"
-#include "thermal/rc_network.hpp"
 #include "util/fiber.hpp"
-#include "util/rng.hpp"
 
 namespace pcap::sim {
 
@@ -114,7 +108,7 @@ struct SmpRunReport {
   }
 };
 
-class SmpNode final : public PlatformControl {
+class SmpNode final : public PackageControl {
  public:
   explicit SmpNode(const SmpConfig& config, std::uint64_t seed = 1);
   ~SmpNode() override;
@@ -133,8 +127,6 @@ class SmpNode final : public PlatformControl {
   /// or a live continuation.
   SmpRunReport run(std::span<Workload* const> workloads);
 
-  using ControlHook = std::function<void(PlatformControl&)>;
-  void set_control_hook(ControlHook hook) { control_hook_ = std::move(hook); }
   void set_os_noise(bool enabled) { os_noise_enabled_ = enabled; }
 
   /// Attaches a package-level telemetry probe fed every housekeeping tick
@@ -155,24 +147,16 @@ class SmpNode final : public PlatformControl {
   /// the shared levels.
   void flush_all_caches();
 
-  const meter::WattsUp& meter() const { return meter_; }
   const cache::Cache& shared_l3() const { return l3_; }
   const mem::Dram& shared_dram() const { return dram_; }
-  double temperature_c() const { return thermal_.temperature_c(); }
-  thermal::RcNetwork& thermal_network() { return thermal_; }
-  const thermal::Fan& fan() const { return fan_; }
-  const power::PowerBreakdown& power_breakdown() const { return breakdown_; }
 
-  // --- PlatformControl (package-level: applies to every core) ---
-  std::uint32_t pstate_count() const override {
-    return static_cast<std::uint32_t>(pstates_.size());
-  }
+  // --- PlatformControl (package-level: applies to every core; the
+  // power, thermal and fan sensors are PackageControl's) ---
   std::uint32_t pstate() const override;
   void set_pstate(std::uint32_t index) override;
   util::Hertz frequency() const override;
   double duty() const override;
   void set_duty(double duty) override;
-  double min_duty() const override { return CoreModel::kMinDuty; }
   std::uint32_t l3_ways() const override { return l3_.active_ways(); }
   std::uint32_t l3_max_ways() const override {
     return config_.machine.hierarchy.l3.ways;
@@ -195,19 +179,7 @@ class SmpNode final : public PlatformControl {
   void set_dtlb_entries(std::uint32_t n) override;
   bool dram_gated() const override { return dram_.gated(); }
   void set_dram_gated(bool gated) override { dram_.set_gated(gated); }
-  double window_average_power_w() override;
-  double instantaneous_power_w() const override { return watts_; }
-  double memory_stall_fraction() const override { return stall_fraction_; }
   util::Picoseconds now() const override { return node_now_; }
-  double subsystem_power_w(power::Subsystem s) const override {
-    return breakdown_.subsystem_w(s);
-  }
-  double sensor_temperature_c() const override {
-    return thermal_.temperature_c();
-  }
-  double fan_rpm() const override { return fan_.rpm(); }
-  double fan_max_rpm() const override { return fan_.max_rpm(); }
-  void set_fan_rpm(double rpm) override { fan_.set_rpm(rpm); }
 
  private:
   /// One core's execution lane; implements the per-op quantum check. The
@@ -264,21 +236,16 @@ class SmpNode final : public PlatformControl {
 
   void housekeeping(util::Picoseconds upto);
   void feed_probes(util::Picoseconds now);
-  power::PowerInputs assemble_inputs() const;
+  /// The operating point the package step prices.
+  power::PowerInputs operating_point() const;
+  /// Counter totals summed over every lane.
+  PackageCounters counter_totals() const;
   int running_lanes() const;
 
   SmpConfig config_;
-  power::PStateTable pstates_;
   cache::Cache l3_;
   mem::Dram dram_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  power::NodePowerModel power_model_;
-  thermal::RcNetwork thermal_;
-  thermal::Fan fan_;
-  power::PowerBreakdown breakdown_;
-  meter::WattsUp meter_;
-  util::Rng rng_;
-  ControlHook control_hook_;
   telemetry::NodeProbe* probe_ = nullptr;
   std::vector<telemetry::NodeProbe*> core_probes_;
   bool os_noise_enabled_ = true;
@@ -292,25 +259,6 @@ class SmpNode final : public PlatformControl {
 #endif
 
   util::Picoseconds node_now_ = 0;
-  util::Picoseconds last_tick_ = 0;
-  util::Picoseconds next_control_ = 0;
-  util::Picoseconds next_noise_ = 0;
-  double watts_ = 0.0;
-  double peak_watts_ = 0.0;
-  double window_energy_j_ = 0.0;
-  util::Picoseconds window_start_ = 0;
-  double freq_time_integral_ = 0.0;
-
-  // Rate computation between housekeeping ticks (aggregate).
-  std::uint64_t last_l3_acc_ = 0;
-  std::uint64_t last_dram_acc_ = 0;
-  std::uint64_t last_ins_ = 0;
-  std::uint64_t last_cyc_ = 0;
-  std::uint64_t last_stall_ = 0;
-  double activity_ = 0.9;
-  double stall_fraction_ = 0.0;
-  double l3_rate_hz_ = 0.0;
-  double dram_rate_hz_ = 0.0;
 };
 
 }  // namespace pcap::sim
