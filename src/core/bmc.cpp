@@ -32,7 +32,7 @@ void Bmc::build_ladder() {
   for (std::uint32_t p = 0; p < pstates; ++p) {
     ThrottleLevel level = base;
     level.pstate = p;
-    level.label = "P" + std::to_string(p);
+    level.label = std::string(1, 'P').append(std::to_string(p));
     ladder_.push_back(level);
   }
 

@@ -59,7 +59,7 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
   for (std::size_t i = 0; i < config_.rack_nodes.size(); ++i) {
     auto slot = std::make_unique<RackSlot>();
     RackConfig rack;
-    rack.name = "r" + std::to_string(i);
+    rack.name = std::string(1, 'r').append(std::to_string(i));
     rack.node_count = config_.rack_nodes[i];
     rack.lanes_per_node = config_.lanes_per_node;
     rack.bmc = config_.bmc;

@@ -353,7 +353,9 @@ TEST(FleetTree, RandomizedTopologyBudgetConservation) {
             << "seed " << seed << " tick " << tick;
       }
     }
-    if (cut != nullptr) EXPECT_TRUE(saw_lost) << "seed " << seed;
+    if (cut != nullptr) {
+      EXPECT_TRUE(saw_lost) << "seed " << seed;
+    }
 
     // Fully healed and re-raised: every level reconverges at its target.
     for (auto& group : tree.groups) {
@@ -391,7 +393,7 @@ fleet::FleetConfig small_fleet_config() {
   config.partitions.push_back(episode);
   for (int t = 0; t < 2; ++t) {
     fleet::TenantSpec tenant;
-    tenant.name = "t" + std::to_string(t);
+    tenant.name = std::string(1, 't').append(std::to_string(t));
     tenant.weight = t == 0 ? 2.0 : 1.0;
     tenant.arrivals.job_count = 8;
     tenant.arrivals.mean_interarrival_s = 200e-6;
