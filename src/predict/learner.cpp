@@ -437,11 +437,20 @@ std::optional<OnlineAmenabilityLearner> OnlineAmenabilityLearner::from_json(
   if (classes == nullptr || !classes->is_array()) return std::nullopt;
 
   OnlineAmenabilityLearner learner(config);
-  auto grid_index = [&](double cap_w) -> std::optional<std::size_t> {
+  // One stored grid point. Off-grid caps are ignored, not an error; a
+  // non-finite number or a negative weight rejects the document.
+  auto read_grid_point = [&](const util::JsonValue& pv,
+                             std::vector<GridPoint>& points) {
+    double cap_w = 0.0;
+    if (!util::read_number(pv, "cap_w", &cap_w)) return false;
     for (std::size_t i = 0; i < learner.caps_.size(); ++i) {
-      if (std::abs(learner.caps_[i] - cap_w) < 1e-9) return i;
+      if (std::abs(learner.caps_[i] - cap_w) >= 1e-9) continue;
+      GridPoint& p = points[i];
+      return util::read_number(pv, "slowdown", &p.slowdown) &&
+             util::read_number(pv, "power_w", &p.power_w) &&
+             util::read_number(pv, "weight", &p.weight) && p.weight >= 0.0;
     }
-    return std::nullopt;
+    return true;
   };
   for (const util::JsonValue& entry : classes->as_array()) {
     const util::JsonValue* name = entry.find("class");
@@ -455,41 +464,18 @@ std::optional<OnlineAmenabilityLearner> OnlineAmenabilityLearner::from_json(
     }
     ClassState& s = learner.state(*cls);
     s.active = true;
-    auto number = [&](const char* key, double* out) {
-      const util::JsonValue* field = entry.find(key);
-      if (field == nullptr || !field->is_number()) return false;
-      *out = field->as_number();
-      return true;
-    };
-    double samples = 0.0, uncapped = 0.0;
-    if (!number("samples", &samples) ||
-        !number("uncapped_samples", &uncapped) ||
-        !number("baseline_power_w", &s.baseline_power_w) ||
-        !number("baseline_time_s", &s.baseline_time_s)) {
+    if (!util::read_count(entry, "samples", &s.samples) ||
+        !util::read_count(entry, "uncapped_samples", &s.uncapped) ||
+        !util::read_number(entry, "baseline_power_w", &s.baseline_power_w) ||
+        !util::read_number(entry, "baseline_time_s", &s.baseline_time_s)) {
       return std::nullopt;
     }
     const util::JsonValue* boot = entry.find("bootstrapped");
     s.bootstrapped = boot != nullptr && boot->is_bool() && boot->as_bool();
-    s.samples = static_cast<std::uint64_t>(samples);
-    s.uncapped = static_cast<std::uint64_t>(uncapped);
     const util::JsonValue* points = entry.find("points");
     if (points == nullptr || !points->is_array()) return std::nullopt;
     for (const util::JsonValue& pv : points->as_array()) {
-      const util::JsonValue* cap = pv.find("cap_w");
-      if (cap == nullptr || !cap->is_number()) return std::nullopt;
-      const auto idx = grid_index(cap->as_number());
-      if (!idx) continue;  // off-grid points are ignored, not an error
-      auto pnum = [&](const char* key, double* out) {
-        const util::JsonValue* field = pv.find(key);
-        if (field == nullptr || !field->is_number()) return false;
-        *out = field->as_number();
-        return true;
-      };
-      GridPoint& p = s.points[*idx];
-      if (!pnum("slowdown", &p.slowdown) || !pnum("power_w", &p.power_w) ||
-          !pnum("weight", &p.weight)) {
-        return std::nullopt;
-      }
+      if (!read_grid_point(pv, s.points)) return std::nullopt;
     }
     learner.materialize(*cls);
   }
@@ -498,9 +484,7 @@ std::optional<OnlineAmenabilityLearner> OnlineAmenabilityLearner::from_json(
     for (const util::JsonValue& entry : pairs->as_array()) {
       const util::JsonValue* a = entry.find("class");
       const util::JsonValue* b = entry.find("partner");
-      const util::JsonValue* samples = entry.find("samples");
-      if (a == nullptr || !a->is_string() || b == nullptr ||
-          !b->is_string() || samples == nullptr || !samples->is_number()) {
+      if (a == nullptr || !a->is_string() || b == nullptr || !b->is_string()) {
         return std::nullopt;
       }
       const auto cls = sched::job_class_from_name(a->as_string());
@@ -508,25 +492,13 @@ std::optional<OnlineAmenabilityLearner> OnlineAmenabilityLearner::from_json(
       if (!cls || !other) return std::nullopt;
       PairState& pair = learner.pairs_[static_cast<std::size_t>(*cls)]
                                       [static_cast<std::size_t>(*other)];
-      pair.samples = static_cast<std::uint64_t>(samples->as_number());
+      if (!util::read_count(entry, "samples", &pair.samples)) {
+        return std::nullopt;
+      }
       const util::JsonValue* points = entry.find("points");
       if (points == nullptr || !points->is_array()) return std::nullopt;
       for (const util::JsonValue& pv : points->as_array()) {
-        const util::JsonValue* cap = pv.find("cap_w");
-        if (cap == nullptr || !cap->is_number()) return std::nullopt;
-        const auto idx = grid_index(cap->as_number());
-        if (!idx) continue;
-        GridPoint& p = pair.points[*idx];
-        auto pnum = [&](const char* key, double* out) {
-          const util::JsonValue* field = pv.find(key);
-          if (field == nullptr || !field->is_number()) return false;
-          *out = field->as_number();
-          return true;
-        };
-        if (!pnum("slowdown", &p.slowdown) || !pnum("power_w", &p.power_w) ||
-            !pnum("weight", &p.weight)) {
-          return std::nullopt;
-        }
+        if (!read_grid_point(pv, pair.points)) return std::nullopt;
       }
     }
   }

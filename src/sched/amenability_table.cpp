@@ -148,31 +148,20 @@ std::optional<AmenabilityTable> AmenabilityTable::from_json(
 
     ClassCurve curve;
     curve.cls = *cls;
-    auto number = [&](const char* key, double* out) {
-      const util::JsonValue* field = entry.find(key);
-      if (field == nullptr || !field->is_number()) return false;
-      *out = field->as_number();
-      return true;
-    };
-    if (!number("baseline_power_w", &curve.baseline_power_w) ||
-        !number("baseline_time_s", &curve.baseline_time_s) ||
-        !number("usable_floor_w", &curve.usable_floor_w)) {
+    if (!util::read_number(entry, "baseline_power_w",
+                           &curve.baseline_power_w) ||
+        !util::read_number(entry, "baseline_time_s", &curve.baseline_time_s) ||
+        !util::read_number(entry, "usable_floor_w", &curve.usable_floor_w)) {
       return std::nullopt;
     }
     const util::JsonValue* points = entry.find("points");
     if (points == nullptr || !points->is_array()) return std::nullopt;
     for (const util::JsonValue& pv : points->as_array()) {
       core::AmenabilityPoint p;
-      auto pnumber = [&](const char* key, double* out) {
-        const util::JsonValue* field = pv.find(key);
-        if (field == nullptr || !field->is_number()) return false;
-        *out = field->as_number();
-        return true;
-      };
-      if (!pnumber("cap_w", &p.cap_w) ||
-          !pnumber("power_w", &p.measured_power_w) ||
-          !pnumber("slowdown", &p.slowdown) ||
-          !pnumber("energy_ratio", &p.energy_ratio)) {
+      if (!util::read_number(pv, "cap_w", &p.cap_w) ||
+          !util::read_number(pv, "power_w", &p.measured_power_w) ||
+          !util::read_number(pv, "slowdown", &p.slowdown) ||
+          !util::read_number(pv, "energy_ratio", &p.energy_ratio)) {
         return std::nullopt;
       }
       const util::JsonValue* met = pv.find("cap_met");

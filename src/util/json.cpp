@@ -18,7 +18,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   std::optional<JsonValue> parse() {
-    auto value = parse_value();
+    auto value = parse_value(0);
     if (!value) return std::nullopt;
     skip_ws();
     if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
@@ -49,7 +49,7 @@ class Parser {
     return true;
   }
 
-  std::optional<JsonValue> parse_value() {
+  std::optional<JsonValue> parse_value(int depth) {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     switch (text_[pos_]) {
@@ -62,8 +62,10 @@ class Parser {
                            ? std::optional<JsonValue>(JsonValue{false})
                            : std::nullopt;
       case '"': return parse_string();
-      case '[': return parse_array();
-      case '{': return parse_object();
+      case '[': return depth < kMaxJsonDepth ? parse_array(depth + 1)
+                                             : std::nullopt;
+      case '{': return depth < kMaxJsonDepth ? parse_object(depth + 1)
+                                             : std::nullopt;
       default: return parse_number();
     }
   }
@@ -124,13 +126,13 @@ class Parser {
     return JsonValue{value};
   }
 
-  std::optional<JsonValue> parse_array() {
+  std::optional<JsonValue> parse_array(int depth) {
     if (!consume('[')) return std::nullopt;
     JsonArray items;
     skip_ws();
     if (consume(']')) return JsonValue{std::move(items)};
     for (;;) {
-      auto item = parse_value();
+      auto item = parse_value(depth);
       if (!item) return std::nullopt;
       items.push_back(std::move(*item));
       if (consume(']')) return JsonValue{std::move(items)};
@@ -138,7 +140,7 @@ class Parser {
     }
   }
 
-  std::optional<JsonValue> parse_object() {
+  std::optional<JsonValue> parse_object(int depth) {
     if (!consume('{')) return std::nullopt;
     JsonObject members;
     skip_ws();
@@ -148,7 +150,7 @@ class Parser {
       auto key = parse_string();
       if (!key) return std::nullopt;
       if (!consume(':')) return std::nullopt;
-      auto value = parse_value();
+      auto value = parse_value(depth);
       if (!value) return std::nullopt;
       members[key->as_string()] = std::move(*value);
       if (consume('}')) return JsonValue{std::move(members)};
@@ -164,6 +166,29 @@ class Parser {
 
 std::optional<JsonValue> parse_json(const std::string& text) {
   return Parser(text).parse();
+}
+
+bool read_number(const JsonValue& object, const std::string& key,
+                 double* out) {
+  const JsonValue* field = object.find(key);
+  if (field == nullptr || !field->is_number() ||
+      !std::isfinite(field->as_number())) {
+    return false;
+  }
+  *out = field->as_number();
+  return true;
+}
+
+bool read_count(const JsonValue& object, const std::string& key,
+                std::uint64_t* out) {
+  double n = 0.0;
+  // 0x1p64 is 2^64, the first double past the uint64 range.
+  if (!read_number(object, key, &n) || n < 0.0 || n >= 0x1p64 ||
+      std::floor(n) != n) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(n);
+  return true;
 }
 
 namespace {
@@ -196,7 +221,7 @@ void append_number(std::string& out, double n) {
   // Shortest decimal form that round-trips the double; integral values
   // within 2^53 print without an exponent or trailing ".0".
   char buf[32];
-  if (n == static_cast<std::int64_t>(n) && std::abs(n) < 9.0e15) {
+  if (std::abs(n) < 9.0e15 && n == static_cast<std::int64_t>(n)) {
     std::snprintf(buf, sizeof(buf), "%lld",
                   static_cast<long long>(static_cast<std::int64_t>(n)));
   } else {

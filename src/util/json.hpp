@@ -5,6 +5,7 @@
 // no streaming, no \u escapes beyond ASCII, numbers as double.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -69,8 +70,20 @@ class JsonValue {
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed). Returns
-/// nullopt on any syntax error or trailing garbage.
+/// nullopt on any syntax error, trailing garbage, or arrays and objects
+/// nested deeper than kMaxJsonDepth.
+inline constexpr int kMaxJsonDepth = 256;
 std::optional<JsonValue> parse_json(const std::string& text);
+
+/// Reads member `key` of `object` into `*out` when it is a finite number.
+/// False, leaving `*out` untouched, when absent, not a number, or not
+/// finite.
+bool read_number(const JsonValue& object, const std::string& key, double* out);
+
+/// Reads member `key` of `object` as a count: a finite, non-negative,
+/// integral number below 2^64. False, leaving `*out` untouched, otherwise.
+bool read_count(const JsonValue& object, const std::string& key,
+                std::uint64_t* out);
 
 /// Serializes a value back to JSON text. `indent` > 0 pretty-prints with
 /// that many spaces per level; the default emits one compact line. Numbers

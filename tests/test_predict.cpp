@@ -331,6 +331,60 @@ TEST(LearnerTest, V2JsonRoundTripsAndAcceptsV1AsBootstrap) {
   EXPECT_FALSE(OnlineAmenabilityLearner::load("/nonexistent/v2.json"));
 }
 
+// A minimal v2 document with one class and one pair; `samples`,
+// `uncapped` and `weight` are spliced in as raw JSON number text.
+std::string v2_document(const std::string& samples,
+                        const std::string& uncapped, const std::string& weight,
+                        const std::string& pair_samples) {
+  return R"({"schema":"pcap-amenability-v2","classes":[{"class":"sire-like",)"
+         R"("provenance":"online-learned","samples":)" + samples +
+         R"(,"uncapped_samples":)" + uncapped +
+         R"(,"bootstrapped":false,"baseline_power_w":150,)"
+         R"("baseline_time_s":0.00045,"points":[{"cap_w":125,"slowdown":2.2,)"
+         R"("power_w":124,"weight":)" + weight +
+         R"(}]}],"pairs":[{"class":"sire-like","partner":"stereo-like",)"
+         R"("samples":)" + pair_samples +
+         R"(,"points":[{"cap_w":125,"slowdown":4,"power_w":124,)"
+         R"("weight":1}]}]})";
+}
+
+std::optional<OnlineAmenabilityLearner> load_v2(const std::string& text) {
+  const auto doc = util::parse_json(text);
+  if (!doc) return std::nullopt;
+  return OnlineAmenabilityLearner::from_json(*doc);
+}
+
+TEST(LearnerTest, RejectsBadCountsWeightsAndNonFiniteNumbers) {
+  const auto good = load_v2(v2_document("3", "1", "1", "1"));
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->samples(JobClass::kSireLike), 3u);
+  EXPECT_EQ(good->pair_samples(JobClass::kSireLike, JobClass::kStereoLike),
+            1u);
+
+  // Counts must be finite, non-negative integers that fit in 64 bits.
+  EXPECT_FALSE(load_v2(v2_document("-1", "1e999", "1", "1")));
+  EXPECT_FALSE(load_v2(v2_document("-1", "1", "1", "1")));
+  EXPECT_FALSE(load_v2(v2_document("3", "1e999", "1", "1")));
+  EXPECT_FALSE(load_v2(v2_document("2.5", "1", "1", "1")));
+  EXPECT_FALSE(load_v2(v2_document("1e30", "1", "1", "1")));
+  EXPECT_FALSE(load_v2(v2_document("3", "1", "1", "-2")));
+  EXPECT_FALSE(load_v2(v2_document("3", "1", "1", "0.5")));
+  // Weights must be finite and non-negative.
+  EXPECT_FALSE(load_v2(v2_document("3", "1", "-1", "1")));
+  EXPECT_FALSE(load_v2(v2_document("3", "1", "1e999", "1")));
+
+  // Non-finite numbers reject v1 documents too, directly and as a
+  // learner bootstrap.
+  std::string v1 = util::json_to_string(synthetic_table().to_json());
+  const std::string key = "\"baseline_power_w\":";
+  const std::size_t at = v1.find(key) + key.size();
+  v1.replace(at, v1.find(',', at) - at, "-1e999");
+  const auto v1_doc = util::parse_json(v1);
+  ASSERT_TRUE(v1_doc.has_value());
+  EXPECT_FALSE(AmenabilityTable::from_json(*v1_doc));
+  EXPECT_FALSE(OnlineAmenabilityLearner::from_json(*v1_doc));
+}
+
 // --- proactive planner -----------------------------------------------------
 
 TEST(PlannerTest, ConservesCapSumAndRespectsBounds) {
