@@ -13,14 +13,11 @@
 // the failure message prints the new rendering in full.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
+#include "pin_render.hpp"
 #include "sim/node.hpp"
 #include "sim/smp_node.hpp"
 #include "telemetry/probe.hpp"
@@ -29,75 +26,10 @@
 namespace pcap::sim {
 namespace {
 
-std::string hex(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-// One "key=value" line per field, so a mismatch diffs field by field.
-std::string line(const std::string& key, const std::string& value) {
-  return key + "=" + value + "\n";
-}
-
-std::string render_counters(
-    const std::string& prefix,
-    const std::array<std::uint64_t, pmu::kEventCount>& counters) {
-  std::string out;
-  for (const pmu::Event e : pmu::all_events()) {
-    out += line(prefix + std::string(pmu::event_name(e)),
-                std::to_string(counters[pmu::index_of(e)]));
-  }
-  return out;
-}
-
-std::string render(const RunReport& r) {
-  return line("workload", r.workload) +
-         line("elapsed", std::to_string(r.elapsed)) +
-         line("energy_j", hex(r.energy_j)) +
-         line("avg_power_w", hex(r.avg_power_w)) +
-         line("peak_power_w", hex(r.peak_power_w)) +
-         line("avg_frequency", std::to_string(r.avg_frequency)) +
-         line("avg_duty", hex(r.avg_duty)) +
-         line("final_temperature_c", hex(r.final_temperature_c)) +
-         render_counters("", r.counters);
-}
-
-std::string render(const SmpRunReport& r) {
-  std::string out = line("elapsed", std::to_string(r.elapsed)) +
-                    line("energy_j", hex(r.energy_j)) +
-                    line("avg_power_w", hex(r.avg_power_w)) +
-                    line("peak_power_w", hex(r.peak_power_w)) +
-                    line("avg_frequency", std::to_string(r.avg_frequency)) +
-                    render_counters("", r.counters);
-  for (std::size_t i = 0; i < r.cores.size(); ++i) {
-    const SmpCoreReport& c = r.cores[i];
-    const std::string prefix = "core" + std::to_string(i) + ".";
-    out += line(prefix + "workload", c.workload) +
-           line(prefix + "elapsed", std::to_string(c.elapsed)) +
-           line(prefix + "energy_share_j", hex(c.energy_share_j)) +
-           render_counters(prefix, c.counters);
-  }
-  return out;
-}
-
-/// FNV-1a over every field of every retained sample, bit patterns included.
-class Fnv {
- public:
-  template <typename T>
-  void add(const T& v) {
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &v, sizeof(T));
-    for (unsigned char b : bytes) {
-      hash_ ^= b;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
+using test::Fnv;
+using test::hex;
+using test::line;
+using test::render;
 
 std::string render(const telemetry::NodeProbe& probe) {
   const auto& series = probe.sampler().series();
@@ -116,11 +48,8 @@ std::string render(const telemetry::NodeProbe& probe) {
     fnv.add(s.health);
     fnv.add(s.throttle_reason);
   }
-  char digest[32];
-  std::snprintf(digest, sizeof digest, "%016llx",
-                static_cast<unsigned long long>(fnv.value()));
   return line("probe.samples", std::to_string(series.size())) +
-         line("probe.fnv", digest);
+         line("probe.fnv", fnv.digest());
 }
 
 telemetry::TelemetryConfig probe_config() {

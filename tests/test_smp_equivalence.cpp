@@ -26,6 +26,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
+#include "pin_render.hpp"
 #include "sim/execution_context.hpp"
 #include "sim/smp_node.hpp"
 #include "telemetry/probe.hpp"
@@ -121,6 +122,293 @@ TEST(SmpEquivalence, CooperativeMatchesLegacyUnderBmcCap) {
 }
 
 #endif  // PCAP_SMP_LEGACY_ENGINE
+
+// --- exact-output pins ------------------------------------------------------
+
+// Every report field of the three differential cells above, captured from
+// the thread-per-core token engine: the cooperative engine must reproduce
+// them bit for bit without a live oracle. The mixed cells drive one
+// monolithic workload through a fiber; the capped cell is 150 W under the
+// BMC. The peaks are pinned as they are (see PackagePin.CappedTwoCoreSmpNode).
+
+TEST(SmpEquivalence, PinnedSteppable) {
+  const SmpRunReport report =
+      run_cell(SmpEngine::kCooperative, steppable_mix, 17);
+  EXPECT_EQ(test::render(report),
+            "elapsed=8086646300\n"
+            "energy_j=0x1.45b3fb6b1f9cdp+0\n"
+            "avg_power_w=0x1.3aa94ed9d3dfp+7\n"
+            "peak_power_w=0x1.a5850457f311bp+9\n"
+            "avg_frequency=2700999999\n"
+            "PCAP_TOT_CYC=22047633\n"
+            "PCAP_TOT_INS=820000\n"
+            "PCAP_INS_EXEC=837208\n"
+            "PCAP_LD_INS=140000\n"
+            "PCAP_SR_INS=0\n"
+            "PCAP_BR_INS=65599\n"
+            "PCAP_BR_MSP=786\n"
+            "PCAP_L1_DCA=140000\n"
+            "PCAP_L1_DCM=140000\n"
+            "PCAP_L1_ICA=102500\n"
+            "PCAP_L1_ICM=448\n"
+            "PCAP_L2_TCA=140448\n"
+            "PCAP_L2_TCM=140448\n"
+            "PCAP_L3_TCA=140448\n"
+            "PCAP_L3_TCM=140448\n"
+            "PCAP_TLB_DM=2219\n"
+            "PCAP_TLB_IM=100\n"
+            "PCAP_DRAM_ACC=140448\n"
+            "PCAP_L2_PF=0\n"
+            "PCAP_STALL_CYC=18176249\n"
+            "core0.workload=memory-bound\n"
+            "core0.elapsed=8086646300\n"
+            "core0.energy_share_j=0x1.41619f2ce1af4p+0\n"
+            "core0.PCAP_TOT_CYC=21753917\n"
+            "core0.PCAP_TOT_INS=420000\n"
+            "core0.PCAP_INS_EXEC=429548\n"
+            "core0.PCAP_LD_INS=140000\n"
+            "core0.PCAP_SR_INS=0\n"
+            "core0.PCAP_BR_INS=33599\n"
+            "core0.PCAP_BR_MSP=403\n"
+            "core0.PCAP_L1_DCA=140000\n"
+            "core0.PCAP_L1_DCM=140000\n"
+            "core0.PCAP_L1_ICA=52500\n"
+            "core0.PCAP_L1_ICM=192\n"
+            "core0.PCAP_L2_TCA=140192\n"
+            "core0.PCAP_L2_TCM=140192\n"
+            "core0.PCAP_L3_TCA=140192\n"
+            "core0.PCAP_L3_TCM=140192\n"
+            "core0.PCAP_TLB_DM=2219\n"
+            "core0.PCAP_TLB_IM=96\n"
+            "core0.PCAP_DRAM_ACC=140192\n"
+            "core0.PCAP_L2_PF=0\n"
+            "core0.PCAP_STALL_CYC=18143127\n"
+            "core1.workload=compute-bound\n"
+            "core1.elapsed=108743780\n"
+            "core1.energy_share_j=0x1.14970f8f7b618p-6\n"
+            "core1.PCAP_TOT_CYC=293716\n"
+            "core1.PCAP_TOT_INS=400000\n"
+            "core1.PCAP_INS_EXEC=407660\n"
+            "core1.PCAP_LD_INS=0\n"
+            "core1.PCAP_SR_INS=0\n"
+            "core1.PCAP_BR_INS=32000\n"
+            "core1.PCAP_BR_MSP=383\n"
+            "core1.PCAP_L1_DCA=0\n"
+            "core1.PCAP_L1_DCM=0\n"
+            "core1.PCAP_L1_ICA=50000\n"
+            "core1.PCAP_L1_ICM=256\n"
+            "core1.PCAP_L2_TCA=256\n"
+            "core1.PCAP_L2_TCM=256\n"
+            "core1.PCAP_L3_TCA=256\n"
+            "core1.PCAP_L3_TCM=256\n"
+            "core1.PCAP_TLB_DM=0\n"
+            "core1.PCAP_TLB_IM=4\n"
+            "core1.PCAP_DRAM_ACC=256\n"
+            "core1.PCAP_L2_PF=0\n"
+            "core1.PCAP_STALL_CYC=33122\n");
+}
+
+TEST(SmpEquivalence, PinnedMixedFiberSteppable) {
+  const SmpRunReport report =
+      run_cell(SmpEngine::kCooperative, mixed_mix, 23);
+  EXPECT_EQ(test::render(report),
+            "elapsed=11101655910\n"
+            "energy_j=0x1.02c4c319bda8cp+1\n"
+            "avg_power_w=0x1.6c3409a103464p+7\n"
+            "peak_power_w=0x1.99549417401a2p+12\n"
+            "avg_frequency=2700999999\n"
+            "PCAP_TOT_CYC=48800057\n"
+            "PCAP_TOT_INS=4151732\n"
+            "PCAP_INS_EXEC=4234772\n"
+            "PCAP_LD_INS=642972\n"
+            "PCAP_SR_INS=0\n"
+            "PCAP_BR_INS=332137\n"
+            "PCAP_BR_MSP=3984\n"
+            "PCAP_L1_DCA=642972\n"
+            "PCAP_L1_DCM=642972\n"
+            "PCAP_L1_ICA=518966\n"
+            "PCAP_L1_ICM=960\n"
+            "PCAP_L2_TCA=643932\n"
+            "PCAP_L2_TCM=643932\n"
+            "PCAP_L3_TCA=643932\n"
+            "PCAP_L3_TCM=238031\n"
+            "PCAP_TLB_DM=10116\n"
+            "PCAP_TLB_IM=260\n"
+            "PCAP_DRAM_ACC=238031\n"
+            "PCAP_L2_PF=0\n"
+            "PCAP_STALL_CYC=30806890\n"
+            "core0.workload=phased-unpredictable\n"
+            "core0.elapsed=11101655910\n"
+            "core0.energy_share_j=0x1.3d14cfb1b0d5dp+0\n"
+            "core0.PCAP_TOT_CYC=29919030\n"
+            "core0.PCAP_TOT_INS=3491732\n"
+            "core0.PCAP_INS_EXEC=3560836\n"
+            "core0.PCAP_LD_INS=522972\n"
+            "core0.PCAP_SR_INS=0\n"
+            "core0.PCAP_BR_INS=279338\n"
+            "core0.PCAP_BR_MSP=3352\n"
+            "core0.PCAP_L1_DCA=522972\n"
+            "core0.PCAP_L1_DCM=522972\n"
+            "core0.PCAP_L1_ICA=436466\n"
+            "core0.PCAP_L1_ICM=512\n"
+            "core0.PCAP_L2_TCA=523484\n"
+            "core0.PCAP_L2_TCM=523484\n"
+            "core0.PCAP_L3_TCA=523484\n"
+            "core0.PCAP_L3_TCM=117583\n"
+            "core0.PCAP_TLB_DM=8214\n"
+            "core0.PCAP_TLB_IM=172\n"
+            "core0.PCAP_DRAM_ACC=117583\n"
+            "core0.PCAP_L2_PF=0\n"
+            "core0.PCAP_STALL_CYC=15218187\n"
+            "core1.workload=memory-bound\n"
+            "core1.elapsed=6933244380\n"
+            "core1.energy_share_j=0x1.8c0ca5b5e4e67p-1\n"
+            "core1.PCAP_TOT_CYC=18651155\n"
+            "core1.PCAP_TOT_INS=360000\n"
+            "core1.PCAP_INS_EXEC=368196\n"
+            "core1.PCAP_LD_INS=120000\n"
+            "core1.PCAP_SR_INS=0\n"
+            "core1.PCAP_BR_INS=28799\n"
+            "core1.PCAP_BR_MSP=345\n"
+            "core1.PCAP_L1_DCA=120000\n"
+            "core1.PCAP_L1_DCM=120000\n"
+            "core1.PCAP_L1_ICA=45000\n"
+            "core1.PCAP_L1_ICM=192\n"
+            "core1.PCAP_L2_TCA=120192\n"
+            "core1.PCAP_L2_TCM=120192\n"
+            "core1.PCAP_L3_TCA=120192\n"
+            "core1.PCAP_L3_TCM=120192\n"
+            "core1.PCAP_TLB_DM=1902\n"
+            "core1.PCAP_TLB_IM=84\n"
+            "core1.PCAP_DRAM_ACC=120192\n"
+            "core1.PCAP_L2_PF=0\n"
+            "core1.PCAP_STALL_CYC=15555581\n"
+            "core2.workload=compute-bound\n"
+            "core2.elapsed=85121500\n"
+            "core2.energy_share_j=0x1.3731d36c04367p-7\n"
+            "core2.PCAP_TOT_CYC=229872\n"
+            "core2.PCAP_TOT_INS=300000\n"
+            "core2.PCAP_INS_EXEC=305740\n"
+            "core2.PCAP_LD_INS=0\n"
+            "core2.PCAP_SR_INS=0\n"
+            "core2.PCAP_BR_INS=24000\n"
+            "core2.PCAP_BR_MSP=287\n"
+            "core2.PCAP_L1_DCA=0\n"
+            "core2.PCAP_L1_DCM=0\n"
+            "core2.PCAP_L1_ICA=37500\n"
+            "core2.PCAP_L1_ICM=256\n"
+            "core2.PCAP_L2_TCA=256\n"
+            "core2.PCAP_L2_TCM=256\n"
+            "core2.PCAP_L3_TCA=256\n"
+            "core2.PCAP_L3_TCM=256\n"
+            "core2.PCAP_TLB_DM=0\n"
+            "core2.PCAP_TLB_IM=4\n"
+            "core2.PCAP_DRAM_ACC=256\n"
+            "core2.PCAP_L2_PF=0\n"
+            "core2.PCAP_STALL_CYC=33122\n");
+}
+
+TEST(SmpEquivalence, PinnedUnderBmcCap) {
+  const SmpRunReport report =
+      run_cell(SmpEngine::kCooperative, mixed_mix, 29, 150.0);
+  // The cap actually bit (this is a real capped cell, not a no-op).
+  EXPECT_LE(report.avg_power_w, 155.0);
+  EXPECT_EQ(test::render(report),
+            "elapsed=20576721937\n"
+            "energy_j=0x1.8939b3fc18a47p+1\n"
+            "avg_power_w=0x1.2a98d35236aebp+7\n"
+            "peak_power_w=0x1.ffaab742fefa3p+9\n"
+            "avg_frequency=1709968863\n"
+            "PCAP_TOT_CYC=49778714\n"
+            "PCAP_TOT_INS=4151732\n"
+            "PCAP_INS_EXEC=4237652\n"
+            "PCAP_LD_INS=642972\n"
+            "PCAP_SR_INS=0\n"
+            "PCAP_BR_INS=332137\n"
+            "PCAP_BR_MSP=3984\n"
+            "PCAP_L1_DCA=642972\n"
+            "PCAP_L1_DCM=642972\n"
+            "PCAP_L1_ICA=518966\n"
+            "PCAP_L1_ICM=10816\n"
+            "PCAP_L2_TCA=653788\n"
+            "PCAP_L2_TCM=653788\n"
+            "PCAP_L3_TCA=653788\n"
+            "PCAP_L3_TCM=317550\n"
+            "PCAP_TLB_DM=10174\n"
+            "PCAP_TLB_IM=580\n"
+            "PCAP_DRAM_ACC=317550\n"
+            "PCAP_L2_PF=0\n"
+            "PCAP_STALL_CYC=31574963\n"
+            "core0.workload=phased-unpredictable\n"
+            "core0.elapsed=20576721937\n"
+            "core0.energy_share_j=0x1.ebee7a5883542p+0\n"
+            "core0.PCAP_TOT_CYC=34942145\n"
+            "core0.PCAP_TOT_INS=3491732\n"
+            "core0.PCAP_INS_EXEC=3562708\n"
+            "core0.PCAP_LD_INS=522972\n"
+            "core0.PCAP_SR_INS=0\n"
+            "core0.PCAP_BR_INS=279338\n"
+            "core0.PCAP_BR_MSP=3352\n"
+            "core0.PCAP_L1_DCA=522972\n"
+            "core0.PCAP_L1_DCM=522972\n"
+            "core0.PCAP_L1_ICA=436466\n"
+            "core0.PCAP_L1_ICM=5760\n"
+            "core0.PCAP_L2_TCA=528732\n"
+            "core0.PCAP_L2_TCM=528732\n"
+            "core0.PCAP_L3_TCA=528732\n"
+            "core0.PCAP_L3_TCM=197102\n"
+            "core0.PCAP_TLB_DM=8253\n"
+            "core0.PCAP_TLB_IM=359\n"
+            "core0.PCAP_DRAM_ACC=197102\n"
+            "core0.PCAP_L2_PF=0\n"
+            "core0.PCAP_STALL_CYC=20128142\n"
+            "core1.workload=memory-bound\n"
+            "core1.elapsed=12220024068\n"
+            "core1.energy_share_j=0x1.24257b186e81p+0\n"
+            "core1.PCAP_TOT_CYC=14606697\n"
+            "core1.PCAP_TOT_INS=360000\n"
+            "core1.PCAP_INS_EXEC=369204\n"
+            "core1.PCAP_LD_INS=120000\n"
+            "core1.PCAP_SR_INS=0\n"
+            "core1.PCAP_BR_INS=28799\n"
+            "core1.PCAP_BR_MSP=345\n"
+            "core1.PCAP_L1_DCA=120000\n"
+            "core1.PCAP_L1_DCM=120000\n"
+            "core1.PCAP_L1_ICA=45000\n"
+            "core1.PCAP_L1_ICM=4800\n"
+            "core1.PCAP_L2_TCA=124800\n"
+            "core1.PCAP_L2_TCM=124800\n"
+            "core1.PCAP_L3_TCA=124800\n"
+            "core1.PCAP_L3_TCM=120192\n"
+            "core1.PCAP_TLB_DM=1921\n"
+            "core1.PCAP_TLB_IM=217\n"
+            "core1.PCAP_DRAM_ACC=120192\n"
+            "core1.PCAP_L2_PF=0\n"
+            "core1.PCAP_STALL_CYC=11413699\n"
+            "core2.workload=compute-bound\n"
+            "core2.elapsed=99252214\n"
+            "core2.energy_share_j=0x1.2fb9439fb9d8ep-7\n"
+            "core2.PCAP_TOT_CYC=229872\n"
+            "core2.PCAP_TOT_INS=300000\n"
+            "core2.PCAP_INS_EXEC=305740\n"
+            "core2.PCAP_LD_INS=0\n"
+            "core2.PCAP_SR_INS=0\n"
+            "core2.PCAP_BR_INS=24000\n"
+            "core2.PCAP_BR_MSP=287\n"
+            "core2.PCAP_L1_DCA=0\n"
+            "core2.PCAP_L1_DCM=0\n"
+            "core2.PCAP_L1_ICA=37500\n"
+            "core2.PCAP_L1_ICM=256\n"
+            "core2.PCAP_L2_TCA=256\n"
+            "core2.PCAP_L2_TCM=256\n"
+            "core2.PCAP_L3_TCA=256\n"
+            "core2.PCAP_L3_TCM=256\n"
+            "core2.PCAP_TLB_DM=0\n"
+            "core2.PCAP_TLB_IM=4\n"
+            "core2.PCAP_DRAM_ACC=256\n"
+            "core2.PCAP_L2_PF=0\n"
+            "core2.PCAP_STALL_CYC=33122\n");
+}
 
 // --- native stepping vs forced continuation ---------------------------------
 

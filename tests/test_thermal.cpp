@@ -16,6 +16,7 @@
 #include "harness/experiment.hpp"
 #include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
+#include "pin_render.hpp"
 #include "power/thermal.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
@@ -53,6 +54,31 @@ TEST(RcNetwork, DegenerateMatchesLegacyThermalModelBitExact) {
   net.reset();
   legacy.reset();
   EXPECT_EQ(net.temperature_c(), legacy.temperature_c());
+}
+
+TEST(RcNetwork, DegenerateLumpedStepMatchesPinnedSequence) {
+  // The single-RC step every paper cell takes, on an irregular power/dt
+  // schedule: the FNV-1a digest of all 500 temperature bit patterns and the
+  // final value were captured from the standalone single-RC model that
+  // preceded this path, so any reordered floating-point expression shows.
+  const power::ThermalConfig config;
+  thermal::RcNetwork net(thermal::RcNetworkConfig::single_rc(config));
+  ASSERT_TRUE(net.is_single_rc());
+  EXPECT_EQ(net.temperature_c(), config.ambient_c);
+
+  util::Rng rng(0xC0FFEE);
+  test::Fnv fnv;
+  for (int i = 0; i < 500; ++i) {
+    const double watts = 40.0 + 0.001 * static_cast<double>(rng.below(130000));
+    const util::Picoseconds dt =
+        util::microseconds(1.0) + rng.below(1000) * 1000000ull;
+    net.update_lumped(watts, dt);
+    fnv.add(net.temperature_c());
+  }
+  EXPECT_EQ(fnv.digest(), "6026fa02df4c7480");
+  EXPECT_EQ(test::hex(net.temperature_c()), "0x1.268844517d801p+6");
+  net.reset();
+  EXPECT_EQ(net.temperature_c(), config.ambient_c);
 }
 
 TEST(RcNetwork, RomleyNetworkWarmsTowardSteadyState) {
