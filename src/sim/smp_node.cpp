@@ -16,16 +16,9 @@ SmpNode::SmpNode(const SmpConfig& config, std::uint64_t seed)
   if (config.cores > config.machine.power.cores) {
     throw std::invalid_argument("SmpNode: more cores than the platform has");
   }
-#if !defined(PCAP_SMP_LEGACY_ENGINE)
-  if (config.engine == SmpEngine::kThreadedLegacy) {
-    throw std::invalid_argument(
-        "SmpNode: legacy token engine compiled out (PCAP_SMP_LEGACY_ENGINE)");
-  }
-#endif
   lanes_.reserve(static_cast<std::size_t>(config.cores));
   for (int i = 0; i < config.cores; ++i) {
     auto lane = std::make_unique<Lane>();
-    lane->owner = this;
     lane->index = i;
     lane->hierarchy = std::make_unique<MemoryHierarchy>(
         config.machine.hierarchy, lane->bank, l3_, dram_);
@@ -170,31 +163,13 @@ void SmpNode::feed_probes(util::Picoseconds now) {
   }
 }
 
-// --- quantum scheduling (shared by both engines) ---
+// --- quantum scheduling ---
 
 void SmpNode::Lane::on_op() {
-  if (core->now() < quantum_end) return;
-  owner->yield_from(*this);
-}
-
-void SmpNode::yield_from(Lane& lane) {
-  if (lane.fiber != nullptr) {
-    // Cooperative: suspend the continuation back to the run queue.
-    util::Fiber::yield();
-    return;
-  }
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  if (config_.engine == SmpEngine::kThreadedLegacy) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    token_ = -1;
-    cv_.notify_all();
-    cv_.wait(lock, [this, &lane] { return token_ == lane.index || abort_; });
-    if (abort_) throw EngineAbort{};
-    return;
-  }
-#endif
-  // Steppable lane: step() observes the clock and returns on its own; the
-  // sink has nothing to do.
+  // A monolithic workload suspends its continuation back to the run queue
+  // at the quantum end; a steppable one observes the clock in step() and
+  // returns on its own, so the sink has nothing to do for it.
+  if (fiber != nullptr && core->now() >= quantum_end) util::Fiber::yield();
 }
 
 int SmpNode::pick_next_lane() const {
@@ -224,7 +199,7 @@ void SmpNode::settle_quantum() {
   if (any_unfinished) housekeeping(horizon);
 }
 
-// --- run prologue / epilogue (engine-independent) ---
+// --- run prologue / epilogue ---
 
 util::Picoseconds SmpNode::prepare_run(std::span<Workload* const> workloads) {
   if (workloads.empty() ||
@@ -325,18 +300,9 @@ void SmpNode::teardown_lanes() noexcept {
   }
 }
 
-// --- cooperative engine ---
+// --- the run queue ---
 
 SmpRunReport SmpNode::run(std::span<Workload* const> workloads) {
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  if (config_.engine == SmpEngine::kThreadedLegacy) {
-    return run_threaded(workloads);
-  }
-#endif
-  return run_cooperative(workloads);
-}
-
-SmpRunReport SmpNode::run_cooperative(std::span<Workload* const> workloads) {
   const util::Picoseconds start = prepare_run(workloads);
 
   // Per-core stream contexts: each lane gets its own ExecutionContext whose
@@ -391,92 +357,5 @@ SmpRunReport SmpNode::run_cooperative(std::span<Workload* const> workloads) {
   teardown_lanes();
   return finish_run(workloads, start);
 }
-
-// --- legacy thread-per-core token engine (differential baseline) ---
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-
-void SmpNode::finish_from(Lane& lane) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lane.finished = true;
-  token_ = -1;
-  cv_.notify_all();
-}
-
-SmpRunReport SmpNode::run_threaded(std::span<Workload* const> workloads) {
-  const util::Picoseconds start = prepare_run(workloads);
-  abort_ = false;
-
-  // Launch one host thread per active lane; each waits for the token. A
-  // workload exception is captured on the lane (never escapes the thread),
-  // and an engine abort wakes every parked lane to unwind via EngineAbort —
-  // either way the thread reaches finish_from and stays joinable exactly
-  // until the join loop below (the old engine leaked joinable threads when
-  // e.g. a control hook threw in the master loop).
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    Lane* lane = lanes_[i].get();
-    lane->error = nullptr;
-    lane->thread = std::thread([this, lane] {
-      try {
-        {
-          std::unique_lock<std::mutex> lock(mutex_);
-          cv_.wait(lock,
-                   [this, lane] { return token_ == lane->index || abort_; });
-          if (abort_) throw EngineAbort{};
-        }
-        ExecutionContext ctx(*lane->hierarchy, *lane->core, *lane,
-                             config_.machine,
-                             static_cast<std::uint32_t>(lane->index));
-        lane->workload->run(ctx);
-      } catch (const EngineAbort&) {
-        // Aborted run: nothing to record, just park the lane.
-      } catch (...) {
-        lane->error = std::current_exception();
-      }
-      finish_from(*lane);
-    });
-  }
-
-  // Master scheduling loop: always advance the laggard core.
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    try {
-      for (;;) {
-        const int next = pick_next_lane();
-        if (next < 0) break;
-        Lane& lane = *lanes_[static_cast<std::size_t>(next)];
-        lane.quantum_end = lane.core->now() + config_.quantum;
-        token_ = next;
-        cv_.notify_all();
-        cv_.wait(lock, [this] { return token_ == -1; });
-        if (lane.error != nullptr) {
-          error = lane.error;
-          lane.error = nullptr;
-          break;
-        }
-        settle_quantum();
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    if (error != nullptr) {
-      abort_ = true;
-      cv_.notify_all();
-    }
-  }
-  for (auto& lane : lanes_) {
-    if (lane->thread.joinable()) lane->thread.join();
-  }
-  abort_ = false;
-  if (error != nullptr) {
-    running_ = false;
-    std::rethrow_exception(error);
-  }
-
-  return finish_run(workloads, start);
-}
-
-#endif  // PCAP_SMP_LEGACY_ENGINE
 
 }  // namespace pcap::sim

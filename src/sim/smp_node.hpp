@@ -10,20 +10,15 @@
 // contention between cores is modelled for real: co-running workloads evict
 // each other's L3 lines and disturb each other's DRAM row buffers.
 //
-// The default engine is a SINGLE-THREADED COOPERATIVE scheduler: a
-// min-local-time run queue resumes each core's workload either through the
-// Workload step() interface (steppable workloads) or as a stackful
-// continuation (util::Fiber) for monolithic run() bodies. No host threads,
-// mutexes, or condvars are involved, so an N-core quantum switch costs a
-// function call or a user-space stack switch instead of two scheduler
-// round-trips — the engine is also trivially safe to run inside the
-// harness's `--jobs` worker pool (one engine per cell, zero shared state).
-//
-// The pre-existing thread-per-core token engine is retained behind the
-// PCAP_SMP_LEGACY_ENGINE build flag (ON by default) purely as the
-// differential baseline: tests/test_smp_equivalence.cpp proves the
-// cooperative engine reproduces its reports bit-for-bit, and
-// bench/micro_simspeed measures the speedup against it.
+// The engine is a SINGLE-THREADED COOPERATIVE scheduler: a min-local-time
+// run queue resumes each core's workload either through the Workload
+// step() interface (steppable workloads) or as a stackful continuation
+// (util::Fiber) for monolithic run() bodies. No host threads, mutexes, or
+// condvars are involved, so an N-core quantum switch costs a function call
+// or a user-space stack switch — the engine is also trivially safe to run
+// inside the harness's `--jobs` worker pool (one engine per cell, zero
+// shared state). tests/test_smp_equivalence.cpp pins its reports, captured
+// from the thread-per-core token engine it replaced, bit for bit.
 //
 // The SmpNode exposes the same PlatformControl face as the single-core
 // Node, so the unmodified BMC firmware caps it; P-state/duty/gating
@@ -37,13 +32,6 @@
 #include <span>
 #include <string>
 #include <vector>
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
-#endif
 
 #include "cache/cache.hpp"
 #include "mem/dram.hpp"
@@ -61,21 +49,12 @@
 
 namespace pcap::sim {
 
-enum class SmpEngine : std::uint8_t {
-  /// Single-threaded cooperative run queue (default).
-  kCooperative,
-  /// Thread-per-core mutex/condvar token engine — differential baseline,
-  /// available only when built with PCAP_SMP_LEGACY_ENGINE.
-  kThreadedLegacy,
-};
-
 struct SmpConfig {
   MachineConfig machine = MachineConfig::romley();
   int cores = 2;
   /// Scheduling quantum in simulated time: a core runs at most this long
   /// before the engine resumes the laggard core.
   util::Picoseconds quantum = util::microseconds(5);
-  SmpEngine engine = SmpEngine::kCooperative;
 };
 
 struct SmpCoreReport {
@@ -123,8 +102,8 @@ class SmpNode final : public PackageControl {
   /// remaining cores stay parked). Throws std::invalid_argument on size
   /// mismatch, null or duplicate entries. Exception-safe: a throwing
   /// workload (or control hook) unwinds every suspended co-runner before
-  /// the exception escapes, and the engine never leaks a joinable thread
-  /// or a live continuation.
+  /// the exception escapes, and the engine never leaks a live
+  /// continuation.
   SmpRunReport run(std::span<Workload* const> workloads);
 
   void set_os_noise(bool enabled) { os_noise_enabled_ = enabled; }
@@ -188,7 +167,6 @@ class SmpNode final : public PackageControl {
   /// bulk groups truncate at this lane's quantum horizon, so batching
   /// stays legal under co-runners (DESIGN.md §12).
   struct Lane final : TickSink {
-    SmpNode* owner = nullptr;
     int index = 0;
     pmu::CounterBank bank;
     std::unique_ptr<MemoryHierarchy> hierarchy;
@@ -199,24 +177,18 @@ class SmpNode final : public PackageControl {
     std::array<std::uint64_t, pmu::kEventCount> start_counters{};
     util::Picoseconds start_time = 0;
 
-    // Cooperative-engine state (per run).
+    // Per-run engine state.
     std::unique_ptr<ExecutionContext> ctx;
     std::unique_ptr<util::Fiber> fiber;  // null for steppable workloads
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-    std::thread thread;
-    std::exception_ptr error;
-#endif
 
     void on_op() override;
     /// A lane keeps running without yielding until its quantum expires.
     util::Picoseconds op_horizon() const override { return quantum_end; }
   };
 
-  void yield_from(Lane& lane);
   int pick_next_lane() const;  // -1 when all finished
 
-  /// Shared run() prologue/epilogue (identical for both engines).
+  /// run() prologue/epilogue.
   util::Picoseconds prepare_run(std::span<Workload* const> workloads);
   SmpRunReport finish_run(std::span<Workload* const> workloads,
                           util::Picoseconds start);
@@ -224,15 +196,8 @@ class SmpNode final : public PackageControl {
   /// slowest unfinished core (everything before that point is final).
   void settle_quantum();
 
-  SmpRunReport run_cooperative(std::span<Workload* const> workloads);
   /// Unwinds every suspended continuation and clears per-run lane state.
   void teardown_lanes() noexcept;
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  struct EngineAbort {};  // thrown into lanes to unwind an aborted run
-  SmpRunReport run_threaded(std::span<Workload* const> workloads);
-  void finish_from(Lane& lane);
-#endif
 
   void housekeeping(util::Picoseconds upto);
   void feed_probes(util::Picoseconds now);
@@ -250,14 +215,6 @@ class SmpNode final : public PackageControl {
   std::vector<telemetry::NodeProbe*> core_probes_;
   bool os_noise_enabled_ = true;
   bool running_ = false;
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int token_ = -1;  // lane index holding the token; -1 == master
-  bool abort_ = false;
-#endif
-
   util::Picoseconds node_now_ = 0;
 };
 

@@ -93,8 +93,8 @@ void RcNetwork::recompute_min_tau() {
 }
 
 void RcNetwork::update_lumped(double watts, util::Picoseconds dt) {
-  // Verbatim power::ThermalModel::update — same expressions, same order —
-  // so the degenerate network is bit-identical to the legacy single RC.
+  // Same expressions, same order as the standalone single-RC model this
+  // replaced: the golden results depend on this exact sequence.
   const double steady = config_.ambient_c + r_ambient_[0] * watts;
   const double alpha =
       1.0 -

@@ -1,10 +1,10 @@
 // RC-network thermal model: per-subsystem heat sources (CPU / uncore /
 // DRAM) driving a small graph of thermal nodes (dies, heatsink) coupled by
 // configurable resistances to each other and to ambient. Generalizes the
-// lumped single-RC `power::ThermalModel`: the degenerate one-node
-// configuration (`RcNetworkConfig::single_rc`) executes the *exact same*
-// floating-point sequence as the legacy model, so golden results are
-// bit-identical while multi-node configs open fan + governor studies.
+// lumped single-RC model of `power::ThermalConfig`: the degenerate one-node
+// configuration (`RcNetworkConfig::single_rc`) steps it with a first-order
+// exponential (`update_lumped`), the path every paper cell and golden result
+// takes, while multi-node configs open fan + governor studies.
 #pragma once
 
 #include <array>
@@ -49,13 +49,13 @@ struct RcNetworkConfig {
   /// Node whose ambient resistance the fan modulates (the heatsink).
   int exhaust_node = 0;
 
-  /// Legacy single-RC time constant. Nonzero marks the degenerate
-  /// configuration: exactly one node, no edges, and `update_lumped` runs
-  /// `power::ThermalModel`'s arithmetic verbatim (same steady state, same
-  /// alpha, same order of operations) so results stay bit-identical.
+  /// Single-RC time constant. Nonzero marks the degenerate configuration:
+  /// exactly one node, no edges, stepped by `update_lumped`. Its
+  /// floating-point sequence is pinned (tests/test_thermal.cpp), so the
+  /// order of operations there must not change.
   util::Picoseconds legacy_tau = 0;
 
-  /// The degenerate configuration equivalent to `power::ThermalModel`.
+  /// The degenerate single-RC configuration of `legacy`.
   static RcNetworkConfig single_rc(const power::ThermalConfig& legacy);
 
   /// A four-node Romley-ish network: CPU and uncore dies onto a shared
@@ -76,8 +76,9 @@ class RcNetwork {
     return config_.legacy_tau != 0 && temps_.size() == 1;
   }
 
-  /// Degenerate path only: advances the single node with the lumped
-  /// silicon watts, bit-identical to `power::ThermalModel::update`.
+  /// Degenerate path only: advances the single node by dt with the lumped
+  /// silicon watts, a first-order exponential approach to the steady state
+  /// T = Ta + R*P.
   void update_lumped(double watts, util::Picoseconds dt);
 
   /// General path: advances every node with per-subsystem heat input

@@ -1,10 +1,10 @@
 // Differential tests for the cooperative single-threaded SMP engine
-// (DESIGN.md §12): the engine rewrite may change how fast the simulator
+// (DESIGN.md §12): an engine change may change how fast the simulator
 // runs, never what it computes.
 //
-//  * Cooperative vs legacy thread-per-core token engine: bit-identical
-//    reports for steppable, monolithic (fiber), and mixed workload sets,
-//    with and without BMC capping (guarded by PCAP_SMP_LEGACY_ENGINE).
+//  * Exact-output pins: every report field of steppable, monolithic
+//    (fiber), and mixed workload sets, with and without BMC capping, as
+//    captured from the thread-per-core token engine this one replaced.
 //  * Native stepping vs forced-fiber execution of the same workload:
 //    identical resume points, identical reports.
 //  * Quantum-boundary batching legality: the PR 2 stream fast paths
@@ -52,22 +52,21 @@ void expect_identical(const SmpRunReport& a, const SmpRunReport& b) {
   }
 }
 
-SmpConfig make_config(int cores, SmpEngine engine) {
+SmpConfig make_config(int cores) {
   SmpConfig config;
   config.cores = cores;
-  config.engine = engine;
   return config;
 }
 
 /// Runs one capped cell on a fresh node: workloads are rebuilt per run so
-/// neither engine sees state left behind by the other.
+/// no run sees state left behind by another.
 template <typename MakeWorkloads>
-SmpRunReport run_cell(SmpEngine engine, MakeWorkloads make,
-                      std::uint64_t seed, double cap_w = 0.0) {
+SmpRunReport run_cell(MakeWorkloads make, std::uint64_t seed,
+                      double cap_w = 0.0) {
   auto workloads = make();
   std::vector<Workload*> ptrs;
   for (auto& w : workloads) ptrs.push_back(w.get());
-  SmpNode node(make_config(static_cast<int>(ptrs.size()), engine), seed);
+  SmpNode node(make_config(static_cast<int>(ptrs.size())), seed);
   core::Bmc bmc(node);
   if (cap_w > 0.0) {
     node.set_control_hook([&bmc](PlatformControl&) { bmc.on_control_tick(); });
@@ -94,46 +93,16 @@ std::vector<std::unique_ptr<Workload>> mixed_mix() {
   return ws;
 }
 
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-
-TEST(SmpEquivalence, CooperativeMatchesLegacySteppable) {
-  const SmpRunReport legacy =
-      run_cell(SmpEngine::kThreadedLegacy, steppable_mix, 17);
-  const SmpRunReport coop =
-      run_cell(SmpEngine::kCooperative, steppable_mix, 17);
-  expect_identical(coop, legacy);
-}
-
-TEST(SmpEquivalence, CooperativeMatchesLegacyMixedFiberSteppable) {
-  const SmpRunReport legacy =
-      run_cell(SmpEngine::kThreadedLegacy, mixed_mix, 23);
-  const SmpRunReport coop = run_cell(SmpEngine::kCooperative, mixed_mix, 23);
-  expect_identical(coop, legacy);
-}
-
-TEST(SmpEquivalence, CooperativeMatchesLegacyUnderBmcCap) {
-  const SmpRunReport legacy =
-      run_cell(SmpEngine::kThreadedLegacy, mixed_mix, 29, 150.0);
-  const SmpRunReport coop =
-      run_cell(SmpEngine::kCooperative, mixed_mix, 29, 150.0);
-  expect_identical(coop, legacy);
-  // The cap actually bit (this is a real capped cell, not a no-op).
-  EXPECT_LE(coop.avg_power_w, 155.0);
-}
-
-#endif  // PCAP_SMP_LEGACY_ENGINE
-
 // --- exact-output pins ------------------------------------------------------
 
-// Every report field of the three differential cells above, captured from
-// the thread-per-core token engine: the cooperative engine must reproduce
-// them bit for bit without a live oracle. The mixed cells drive one
-// monolithic workload through a fiber; the capped cell is 150 W under the
-// BMC. The peaks are pinned as they are (see PackagePin.CappedTwoCoreSmpNode).
+// Every report field of three cells, captured from the thread-per-core
+// token engine the cooperative engine replaced, which computed them the same
+// way. The mixed cells drive one monolithic workload through a fiber; the
+// capped cell is 150 W under the BMC. The peaks are pinned as they are (see
+// PackagePin.CappedTwoCoreSmpNode).
 
 TEST(SmpEquivalence, PinnedSteppable) {
-  const SmpRunReport report =
-      run_cell(SmpEngine::kCooperative, steppable_mix, 17);
+  const SmpRunReport report = run_cell(steppable_mix, 17);
   EXPECT_EQ(test::render(report),
             "elapsed=8086646300\n"
             "energy_j=0x1.45b3fb6b1f9cdp+0\n"
@@ -209,8 +178,7 @@ TEST(SmpEquivalence, PinnedSteppable) {
 }
 
 TEST(SmpEquivalence, PinnedMixedFiberSteppable) {
-  const SmpRunReport report =
-      run_cell(SmpEngine::kCooperative, mixed_mix, 23);
+  const SmpRunReport report = run_cell(mixed_mix, 23);
   EXPECT_EQ(test::render(report),
             "elapsed=11101655910\n"
             "energy_j=0x1.02c4c319bda8cp+1\n"
@@ -309,8 +277,7 @@ TEST(SmpEquivalence, PinnedMixedFiberSteppable) {
 }
 
 TEST(SmpEquivalence, PinnedUnderBmcCap) {
-  const SmpRunReport report =
-      run_cell(SmpEngine::kCooperative, mixed_mix, 29, 150.0);
+  const SmpRunReport report = run_cell(mixed_mix, 29, 150.0);
   // The cap actually bit (this is a real capped cell, not a no-op).
   EXPECT_LE(report.avg_power_w, 155.0);
   EXPECT_EQ(test::render(report),
@@ -433,9 +400,8 @@ TEST(SmpEquivalence, NativeStepMatchesForcedFiber) {
     }
     return ws;
   };
-  const SmpRunReport stepped =
-      run_cell(SmpEngine::kCooperative, steppable_mix, 31);
-  const SmpRunReport fibered = run_cell(SmpEngine::kCooperative, forced, 31);
+  const SmpRunReport stepped = run_cell(steppable_mix, 31);
+  const SmpRunReport fibered = run_cell(forced, 31);
   expect_identical(stepped, fibered);
 }
 
@@ -495,8 +461,8 @@ TEST(SmpEquivalence, StreamBatchingLegalUnderCoRunners) {
                                                              200000));
     return ws;
   };
-  const SmpRunReport fast = run_cell(SmpEngine::kCooperative, streamed, 37);
-  const SmpRunReport slow = run_cell(SmpEngine::kCooperative, looped, 37);
+  const SmpRunReport fast = run_cell(streamed, 37);
+  const SmpRunReport slow = run_cell(looped, 37);
   expect_identical(fast, slow);
   // The cell is genuinely contended — the sweep saw shared-L3 misses.
   EXPECT_GT(fast.cores[0].counter(Event::kL3Tcm), 1000u);
@@ -509,8 +475,7 @@ TEST(SmpEquivalence, SmpCellsAreJobsInvariant) {
   auto run_all = [&kCaps](std::size_t threads) {
     std::vector<SmpRunReport> reports(4);
     util::parallel_for(4, threads, [&](std::size_t i) {
-      reports[i] = run_cell(SmpEngine::kCooperative, mixed_mix,
-                            41 + i, kCaps[i]);
+      reports[i] = run_cell(mixed_mix, 41 + i, kCaps[i]);
     });
     return reports;
   };
@@ -555,7 +520,7 @@ class ThrowingWorkload final : public Workload {
 };
 
 TEST(SmpEquivalence, ThrowingWorkloadUnwindsSuspendedCoRunner) {
-  SmpNode node(make_config(2, SmpEngine::kCooperative), 43);
+  SmpNode node(make_config(2), 43);
   bool unwound = false;
   GuardedWorkload guarded(&unwound);
   ThrowingWorkload throwing;
@@ -573,7 +538,7 @@ TEST(SmpEquivalence, ThrowingWorkloadUnwindsSuspendedCoRunner) {
 }
 
 TEST(SmpEquivalence, ThrowingControlHookUnwindsRun) {
-  SmpNode node(make_config(2, SmpEngine::kCooperative), 47);
+  SmpNode node(make_config(2), 47);
   node.set_control_hook(
       [](PlatformControl&) { throw std::runtime_error("hook boom"); });
   bool unwound = false;
@@ -589,53 +554,13 @@ TEST(SmpEquivalence, ThrowingControlHookUnwindsRun) {
   const SmpRunReport r = node.run(retry);
   EXPECT_EQ(r.counter(Event::kTotIns), 100000u);
 }
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-
-TEST(SmpEquivalence, LegacyEngineSurvivesThrowingWorkload) {
-  // The pre-rewrite engine leaked joinable threads (std::terminate) here;
-  // the repaired shutdown path must join every lane and rethrow.
-  SmpNode node(make_config(2, SmpEngine::kThreadedLegacy), 53);
-  bool unwound = false;
-  GuardedWorkload guarded(&unwound);
-  ThrowingWorkload throwing;
-  std::vector<Workload*> ws{&guarded, &throwing};
-  EXPECT_THROW(node.run(ws), std::runtime_error);
-  EXPECT_TRUE(unwound);
-
-  apps::ComputeBoundWorkload again(100000);
-  std::vector<Workload*> retry{&again};
-  const SmpRunReport r = node.run(retry);
-  EXPECT_EQ(r.counter(Event::kTotIns), 100000u);
-}
-
-TEST(SmpEquivalence, LegacyEngineSurvivesThrowingControlHook) {
-  SmpNode node(make_config(2, SmpEngine::kThreadedLegacy), 59);
-  node.set_control_hook(
-      [](PlatformControl&) { throw std::runtime_error("hook boom"); });
-  bool unwound = false;
-  GuardedWorkload guarded(&unwound);
-  apps::ComputeBoundWorkload compute(4000000);
-  std::vector<Workload*> ws{&guarded, &compute};
-  EXPECT_THROW(node.run(ws), std::runtime_error);
-  EXPECT_TRUE(unwound);
-
-  node.set_control_hook({});
-  apps::ComputeBoundWorkload again(100000);
-  std::vector<Workload*> retry{&again};
-  const SmpRunReport r = node.run(retry);
-  EXPECT_EQ(r.counter(Event::kTotIns), 100000u);
-}
-
-#endif  // PCAP_SMP_LEGACY_ENGINE
 
 // --- telemetry neutrality ---------------------------------------------------
 
 TEST(SmpEquivalence, TelemetryProbesAreBitNeutral) {
   if constexpr (!telemetry::kCompiledIn) GTEST_SKIP();
 
-  const SmpRunReport bare =
-      run_cell(SmpEngine::kCooperative, steppable_mix, 61, 160.0);
+  const SmpRunReport bare = run_cell(steppable_mix, 61, 160.0);
 
   telemetry::TelemetryConfig tconfig;
   tconfig.enabled = true;
@@ -647,7 +572,7 @@ TEST(SmpEquivalence, TelemetryProbesAreBitNeutral) {
   auto workloads = steppable_mix();
   std::vector<Workload*> ptrs;
   for (auto& w : workloads) ptrs.push_back(w.get());
-  SmpNode node(make_config(2, SmpEngine::kCooperative), 61);
+  SmpNode node(make_config(2), 61);
   core::Bmc bmc(node);
   node.set_control_hook([&bmc](PlatformControl&) { bmc.on_control_tick(); });
   bmc.set_cap(160.0);

@@ -31,31 +31,6 @@ namespace {
 
 // --- RC network: degenerate single-RC path -------------------------------
 
-TEST(RcNetwork, DegenerateMatchesLegacyThermalModelBitExact) {
-  power::ThermalConfig legacy_config;
-  power::ThermalModel legacy(legacy_config);
-  thermal::RcNetwork net(thermal::RcNetworkConfig::single_rc(legacy_config));
-  ASSERT_TRUE(net.is_single_rc());
-  EXPECT_EQ(net.temperature_c(), legacy.temperature_c());
-
-  // Drive both with an identical irregular power/dt schedule; every
-  // intermediate temperature must be bit-identical (the degenerate path
-  // replays the legacy FP sequence verbatim, which is what keeps the
-  // golden studies green).
-  util::Rng rng(0xC0FFEE);
-  for (int i = 0; i < 500; ++i) {
-    const double watts = 40.0 + 0.001 * static_cast<double>(rng.below(130000));
-    const util::Picoseconds dt =
-        util::microseconds(1.0) + rng.below(1000) * 1000000ull;
-    legacy.update(watts, dt);
-    net.update_lumped(watts, dt);
-    ASSERT_EQ(net.temperature_c(), legacy.temperature_c()) << "step " << i;
-  }
-  net.reset();
-  legacy.reset();
-  EXPECT_EQ(net.temperature_c(), legacy.temperature_c());
-}
-
 TEST(RcNetwork, DegenerateLumpedStepMatchesPinnedSequence) {
   // The single-RC step every paper cell takes, on an irregular power/dt
   // schedule: the FNV-1a digest of all 500 temperature bit patterns and the
