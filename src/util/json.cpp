@@ -122,7 +122,11 @@ class Parser {
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return std::nullopt;
+    // A literal past the double range (1e999) reads as inf, which JSON
+    // cannot spell back.
+    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
+      return std::nullopt;
+    }
     return JsonValue{value};
   }
 
@@ -218,6 +222,9 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 void append_number(std::string& out, double n) {
+  if (!std::isfinite(n)) {
+    throw std::invalid_argument("json_to_string: non-finite number");
+  }
   // Shortest decimal form that round-trips the double; integral values
   // within 2^53 print without an exponent or trailing ".0".
   char buf[32];
@@ -226,7 +233,6 @@ void append_number(std::string& out, double n) {
                   static_cast<long long>(static_cast<std::int64_t>(n)));
   } else {
     std::snprintf(buf, sizeof(buf), "%.17g", n);
-    double reparsed = std::strtod(buf, nullptr);
     for (int prec = 15; prec <= 16; ++prec) {
       char shorter[32];
       std::snprintf(shorter, sizeof(shorter), "%.*g", prec, n);
@@ -235,7 +241,6 @@ void append_number(std::string& out, double n) {
         break;
       }
     }
-    (void)reparsed;
   }
   out += buf;
 }

@@ -70,8 +70,9 @@ class JsonValue {
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed). Returns
-/// nullopt on any syntax error, trailing garbage, or arrays and objects
-/// nested deeper than kMaxJsonDepth.
+/// nullopt on any syntax error, trailing garbage, a number literal outside
+/// the finite double range, or arrays and objects nested deeper than
+/// kMaxJsonDepth.
 inline constexpr int kMaxJsonDepth = 256;
 std::optional<JsonValue> parse_json(const std::string& text);
 
@@ -88,8 +89,9 @@ bool read_count(const JsonValue& object, const std::string& key,
 /// Serializes a value back to JSON text. `indent` > 0 pretty-prints with
 /// that many spaces per level; the default emits one compact line. Numbers
 /// round-trip through parse_json (shortest representation that preserves
-/// the double). Object members serialize in key order (JsonObject is a
-/// std::map), so output is deterministic.
+/// the double); a non-finite number has no JSON spelling and throws
+/// std::invalid_argument. Object members serialize in key order
+/// (JsonObject is a std::map), so output is deterministic.
 std::string json_to_string(const JsonValue& value, int indent = 0);
 
 /// Writes `value` to `path` (creating parent directories), pretty-printed.

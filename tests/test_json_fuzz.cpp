@@ -12,7 +12,6 @@
 // nothing half-read survives into the loaded object.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -79,17 +78,6 @@ std::string v2_text() {
   return util::json_to_string(learner.to_json());
 }
 
-bool finite_numbers(const util::JsonValue& v) {
-  if (v.is_number()) return std::isfinite(v.as_number());
-  for (const util::JsonValue& item : v.as_array()) {
-    if (!finite_numbers(item)) return false;
-  }
-  for (const auto& [key, value] : v.as_object()) {
-    if (!finite_numbers(value)) return false;
-  }
-  return true;
-}
-
 /// Runs one input through the parser and both loaders; returns a failure
 /// description, or an empty string when every stage behaved. `parsed`
 /// counts the inputs the parser accepted.
@@ -98,14 +86,11 @@ std::string check(const std::string& text, std::size_t* parsed = nullptr) {
   if (!doc) return "";
   if (parsed != nullptr) ++*parsed;
   // The parser loaded completely: what it read serialises and reparses to
-  // the same serialisation (JSON has no spelling for inf, so only for
-  // documents whose numbers are all finite).
+  // the same serialisation.
   const std::string printed = util::json_to_string(*doc);
-  if (finite_numbers(*doc)) {
-    const auto again = util::parse_json(printed);
-    if (!again || util::json_to_string(*again) != printed) {
-      return "parser round trip: " + printed;
-    }
+  const auto again = util::parse_json(printed);
+  if (!again || util::json_to_string(*again) != printed) {
+    return "parser round trip: " + printed;
   }
 
   if (const auto table = AmenabilityTable::from_json(*doc)) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -373,16 +374,21 @@ TEST(LearnerTest, RejectsBadCountsWeightsAndNonFiniteNumbers) {
   EXPECT_FALSE(load_v2(v2_document("3", "1", "-1", "1")));
   EXPECT_FALSE(load_v2(v2_document("3", "1", "1e999", "1")));
 
-  // Non-finite numbers reject v1 documents too, directly and as a
+  // Non-finite numbers reject v1 documents too: as text in the parser,
+  // and as a value built in memory in the loader, directly and as a
   // learner bootstrap.
   std::string v1 = util::json_to_string(synthetic_table().to_json());
   const std::string key = "\"baseline_power_w\":";
   const std::size_t at = v1.find(key) + key.size();
   v1.replace(at, v1.find(',', at) - at, "-1e999");
-  const auto v1_doc = util::parse_json(v1);
-  ASSERT_TRUE(v1_doc.has_value());
-  EXPECT_FALSE(AmenabilityTable::from_json(*v1_doc));
-  EXPECT_FALSE(OnlineAmenabilityLearner::from_json(*v1_doc));
+  EXPECT_FALSE(util::parse_json(v1).has_value());
+  AmenabilityTable table = synthetic_table();
+  ClassCurve curve = *table.curve(JobClass::kSireLike);
+  curve.baseline_power_w = -std::numeric_limits<double>::infinity();
+  table.set_curve(curve);
+  const util::JsonValue v1_doc = table.to_json();
+  EXPECT_FALSE(AmenabilityTable::from_json(v1_doc));
+  EXPECT_FALSE(OnlineAmenabilityLearner::from_json(v1_doc));
 }
 
 // --- proactive planner -----------------------------------------------------

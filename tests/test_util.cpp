@@ -2,7 +2,9 @@
 // charts, logging, thread pool.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "util/ascii_chart.hpp"
@@ -287,6 +289,23 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json(R"("unterminated)").has_value());
   EXPECT_FALSE(parse_json("true false").has_value());  // trailing garbage
   EXPECT_FALSE(parse_json("").has_value());
+}
+
+TEST(Json, NonFiniteNumbersNeitherParseNorPrint) {
+  // Past the double range strtod reads inf; JSON cannot spell it, so a
+  // document holding one could be loaded but never saved back.
+  EXPECT_FALSE(parse_json("[1e999]").has_value());
+  EXPECT_FALSE(parse_json(R"({"w":-1e999})").has_value());
+  const auto tiny = parse_json("[1e-999]");  // underflow is finite
+  ASSERT_TRUE(tiny.has_value());
+  EXPECT_EQ(tiny->as_array()[0].as_number(), 0.0);
+  EXPECT_THROW(
+      json_to_string(JsonValue{std::numeric_limits<double>::infinity()}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      json_to_string(JsonValue{JsonArray{
+          JsonValue{std::numeric_limits<double>::quiet_NaN()}}}),
+      std::invalid_argument);
 }
 
 TEST(ThreadPool, RunsAllTasks) {
